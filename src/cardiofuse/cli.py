@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except PipelineError as e:
         print(f"pipeline error: {e}", file=sys.stderr)
-        if e.stage in ("load", "impute", "encode"):
+        if e.stage in ("load", "impute", "encode", "split"):
             return EXIT_DATA
         return EXIT_TRAINING
     except ModelError as e:

@@ -43,17 +43,15 @@ def weight_grid() -> list[FusionWeights]:
 class FusedScores:
     scores: np.ndarray
     weights: FusionWeights
-    member_kinds: tuple[str, str] = ("", "")
 
 
-def fuse(d1: np.ndarray, d2: np.ndarray, w: FusionWeights,
-         member_kinds: tuple[str, str] = ("", "")) -> FusedScores:
+def fuse(d1: np.ndarray, d2: np.ndarray, w: FusionWeights) -> FusedScores:
     """Elementwise weighted sum of two score matrices of identical shape."""
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
     if d1.shape != d2.shape:
         raise FusionError(f"score shapes differ: {d1.shape} vs {d2.shape}")
-    return FusedScores(w.w1 * d1 + w.w2 * d2, w, member_kinds)
+    return FusedScores(w.w1 * d1 + w.w2 * d2, w)
 
 
 def decide(scores: np.ndarray) -> np.ndarray:
@@ -69,27 +67,20 @@ class GridSearchResult:
     sweep: list[tuple[FusionWeights, float]] = field(default_factory=list)
 
 
-def grid_search(d1: np.ndarray, d2: np.ndarray, truth,
-                grid: list[FusionWeights] | None = None,
-                criterion: str = "accuracy",
-                member_kinds: tuple[str, str] = ("", "")) -> GridSearchResult:
+def grid_search(d1: np.ndarray, d2: np.ndarray, truth) -> GridSearchResult:
     """Evaluate every grid weight and return the accuracy-maximizing fusion.
 
     Ties are broken by the earliest grid entry (largest w1). The full sweep
-    of per-weight criterion values is kept for reporting.
+    of per-weight accuracies is kept for reporting.
     """
-    if criterion != "accuracy":
-        raise FusionError(f"unsupported criterion {criterion!r}")
     truth = np.asarray(truth, dtype=np.int64)
     if truth.shape[0] != np.asarray(d1).shape[0]:
         raise FusionError("truth length does not match score rows")
-    if grid is None:
-        grid = weight_grid()
 
     best = None
     sweep = []
-    for w in grid:
-        fused = fuse(d1, d2, w, member_kinds)
+    for w in weight_grid():
+        fused = fuse(d1, d2, w)
         acc = float(np.mean(decide(fused.scores) == truth))
         sweep.append((w, acc))
         if best is None or acc > best[1]:

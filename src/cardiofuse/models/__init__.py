@@ -4,7 +4,7 @@ from .base import (DivergenceError, ModelError, NotFittedError,
                    ProbabilisticClassifier, ShapeError)
 from .logistic import LogisticRegressionClassifier
 from .svm import SVMClassifier
-from .tree import DecisionTreeClassifier, entropy_impurity, gini_impurity
+from .tree import DecisionTreeClassifier
 from .forest import RandomForestClassifier
 from .mlp import MLPClassifier
 from .adaboost import AdaBoostClassifier
@@ -21,17 +21,20 @@ _REGISTRY = {
 }
 
 
-def make_model(kind: str, **kwargs) -> ProbabilisticClassifier:
+def model_class(kind: str) -> type[ProbabilisticClassifier]:
     try:
-        cls = _REGISTRY[kind.upper()]
+        return _REGISTRY[kind.upper()]
     except KeyError:
         raise ModelError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}") from None
-    return cls(**kwargs)
+
+
+def make_model(kind: str, **kwargs) -> ProbabilisticClassifier:
+    return model_class(kind)(**kwargs)
 
 
 __all__ = [
     "AdaBoostClassifier", "DecisionTreeClassifier", "DivergenceError",
     "LogisticRegressionClassifier", "MLPClassifier", "MODEL_KINDS", "ModelError",
     "NotFittedError", "ProbabilisticClassifier", "RandomForestClassifier",
-    "SVMClassifier", "ShapeError", "entropy_impurity", "gini_impurity", "make_model",
+    "SVMClassifier", "ShapeError", "make_model", "model_class",
 ]

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelError, ProbabilisticClassifier
+from .base import ModelError, ProbabilisticClassifier, one_hot
+from .tree import split_scan
 
 ALPHA_CAP_LOG = 0.5 * np.log(1e10)
 
@@ -22,7 +23,7 @@ def _best_stump(X, y, w):
     x <= threshold. Also considers the degenerate no-split stump that
     predicts the weighted-majority class everywhere.
     """
-    n, d = X.shape
+    d = X.shape[1]
     w1 = float(w[y == 1].sum())
     w0 = float(w.sum()) - w1
     # threshold below every value: everything goes right
@@ -30,29 +31,20 @@ def _best_stump(X, y, w):
         best = (-1, -np.inf, 1, 1, w0)
     else:
         best = (-1, -np.inf, 0, 0, w1)
+    Yw = one_hot(y, 2) * w[:, None]   # per-row weight in its class column
     for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        ws = w[order]
-        cut = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        if len(cut) == 0:
+        thresholds, _, left = split_scan(X[:, f], Yw)
+        if len(thresholds) == 0:
             continue
-        cw1 = np.cumsum(ws * (ys == 1))
-        cw0 = np.cumsum(ws * (ys == 0))
-        left1 = cw1[cut - 1]   # weight of class 1 left of the threshold
-        left0 = cw0[cut - 1]
-        right1 = w1 - left1
-        right0 = w0 - left0
+        left0, left1 = left[:, 0], left[:, 1]   # class weights left of the threshold
         # orientation A: left -> 0, right -> 1 ; errors are misweighted mass
-        errA = left1 + right0
+        errA = left1 + (w0 - left0)
         # orientation B: left -> 1, right -> 0
-        errB = left0 + right1
+        errB = left0 + (w1 - left1)
         for err, lc, rc in ((errA, 0, 1), (errB, 1, 0)):
             i = int(np.argmin(err))
             if err[i] < best[4]:
-                thr = (xs[cut[i] - 1] + xs[cut[i]]) / 2.0
-                best = (f, float(thr), lc, rc, float(err[i]))
+                best = (f, float(thresholds[i]), lc, rc, float(err[i]))
     return best
 
 

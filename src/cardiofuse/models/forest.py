@@ -11,11 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ProbabilisticClassifier
-from .tree import _node_from_dict, _node_to_dict, _predict_node, _TreeBuilder
+from .tree import Tree, _TreeBuilder
 
 
 class RandomForestClassifier(ProbabilisticClassifier):
     kind = "RF"
+    # hyperparameters in model-document order
+    _PARAMS = ("n_estimators", "seed", "bootstrap", "criterion", "max_depth", "max_features",
+               "min_samples_leaf")
 
     def __init__(self, n_estimators: int = 100, seed: int = 0, bootstrap: bool = True,
                  criterion: str = "gini", max_depth: int | None = None,
@@ -51,27 +54,15 @@ class RandomForestClassifier(ProbabilisticClassifier):
 
     def _scores(self, X):
         total = np.zeros((X.shape[0], self.class_count_))
-        buf = np.zeros_like(total)
-        idx = np.arange(X.shape[0])
-        for root in self.trees_:
-            buf[:] = 0.0
-            _predict_node(root, X, idx, buf)
-            total += buf
+        for tree in self.trees_:
+            total += tree.predict(X)
         return total / len(self.trees_)
 
     def _params_to_dict(self):
-        return {"n_estimators": self.n_estimators, "seed": self.seed,
-                "bootstrap": self.bootstrap, "criterion": self.criterion,
-                "max_depth": self.max_depth, "max_features": self.max_features,
-                "min_samples_leaf": self.min_samples_leaf,
-                "trees": [_node_to_dict(t) for t in self.trees_]}
+        return {**{p: getattr(self, p) for p in self._PARAMS},
+                "trees": [t.to_dict() for t in self.trees_]}
 
     def _params_from_dict(self, doc):
-        self.n_estimators = doc["n_estimators"]
-        self.seed = doc["seed"]
-        self.bootstrap = doc["bootstrap"]
-        self.criterion = doc["criterion"]
-        self.max_depth = doc["max_depth"]
-        self.max_features = doc["max_features"]
-        self.min_samples_leaf = doc["min_samples_leaf"]
-        self.trees_ = [_node_from_dict(t) for t in doc["trees"]]
+        for p in self._PARAMS:
+            setattr(self, p, doc[p])
+        self.trees_ = [Tree.from_dict(t) for t in doc["trees"]]

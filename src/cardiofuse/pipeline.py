@@ -10,6 +10,7 @@ written only when the whole run has succeeded.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -20,7 +21,7 @@ from . import fusion as fusion_mod
 from . import metrics as metrics_mod
 from .dataset import bundled_data_path, load_csv, load_schema_file
 from .hyperparams import MULTICLASS_KINDS, SCALER_FOR, defaults_for
-from .models import MODEL_KINDS, make_model
+from .models import MODEL_KINDS, make_model, model_class
 from .preprocess import (SplitSpec, TaskKind, apply_scaler, derive_task,
                          encode_labels, fit_scaler, impute_most_frequent,
                          random_oversample, split)
@@ -93,6 +94,18 @@ class RunConfig:
                     raise ConfigError(f"{kind} has no multiclass configuration")
             pairs.append((a, b))
         self.fusion_pairs = pairs
+        if not isinstance(self.hyperparams, dict):
+            raise ConfigError("hyperparams must map model kinds to parameter mappings")
+        for kind, params in self.hyperparams.items():
+            if kind not in MODEL_KINDS:
+                raise ConfigError(f"hyperparams: unknown model kind {kind!r}; "
+                                  f"expected one of {MODEL_KINDS}")
+            if not isinstance(params, dict):
+                raise ConfigError(f"hyperparams: {kind} needs a mapping of parameters")
+            accepted = inspect.signature(model_class(kind)).parameters
+            for name in params:
+                if name not in accepted:
+                    raise ConfigError(f"hyperparams: {kind} has no parameter {name!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -231,12 +244,10 @@ def run_experiment(config: RunConfig) -> RunReport:
     for a, b in config.fusion_pairs:
         name = f"{a}+{b}"
         if val is not None:
-            sel = fusion_mod.grid_search(val_scores[a], val_scores[b], val.labels,
-                                         member_kinds=(a, b))
+            sel = fusion_mod.grid_search(val_scores[a], val_scores[b], val.labels)
         else:
-            sel = fusion_mod.grid_search(member_scores[a], member_scores[b],
-                                         test.labels, member_kinds=(a, b))
-        fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights, (a, b))
+            sel = fusion_mod.grid_search(member_scores[a], member_scores[b], test.labels)
+        fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
         report = stage("evaluate", _evaluate, test.labels, fused.scores,
                        task.class_count, averaging)
         fusions[name] = {
@@ -300,9 +311,6 @@ def emit_report(report: RunReport, report_dir, formats=("markdown", "csv")) -> l
     files: dict[str, str] = {}
     doc = report_to_dict(report)
     files["report.json"] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    # scaler statistics and label-code maps, for run auditability
-    files["preprocessing.json"] = json.dumps(report.preprocessing, indent=2,
-                                             sort_keys=True) + "\n"
 
     rows = []
     for kind, rep in report.members.items():

@@ -153,8 +153,8 @@ def split(table: DataTable, spec: SplitSpec) -> tuple[DataTable, DataTable]:
     (with a warning) when some class is too small to stratify.
     """
     n = table.n_rows
-    if n == 0:
-        raise PreprocessError("cannot split an empty table")
+    if n < 2:
+        raise PreprocessError(f"cannot split a table of {n} row(s) into train and test")
     n_test = int(round(n * spec.test_fraction))
     n_test = min(max(n_test, 1), n - 1)
     rng = np.random.default_rng(spec.seed)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cardiofuse.models import (DecisionTreeClassifier, RandomForestClassifier,
-                               entropy_impurity, gini_impurity)
+from cardiofuse.models import DecisionTreeClassifier, RandomForestClassifier
+from cardiofuse.models.tree import Tree, _impurity_rows
 
 def blob_data(rng, n=120, d=5, k=2):
     X = rng.normal(size=(n, d))
@@ -14,15 +14,16 @@ def blob_data(rng, n=120, d=5, k=2):
 
 def test_gini_values():
     # direct substitution: 1 - (0.5^2 + 0.5^2)
-    assert gini_impurity([5, 5]) == pytest.approx(0.5)
-    assert gini_impurity([10, 0]) == 0.0
-    assert gini_impurity([]) == 0.0
+    imp = _impurity_rows(np.array([[5.0, 5.0], [10.0, 0.0]]), "gini")
+    assert imp[0] == pytest.approx(0.5)
+    assert imp[1] == 0.0
 
 
 def test_entropy_values():
-    assert entropy_impurity([5, 5]) == pytest.approx(1.0)
-    assert entropy_impurity([7, 0]) == 0.0
-    assert entropy_impurity([1, 1, 1, 1]) == pytest.approx(2.0)
+    imp = _impurity_rows(np.array([[5.0, 5.0], [7.0, 0.0]]), "entropy")
+    assert imp[0] == pytest.approx(1.0)
+    assert imp[1] == 0.0
+    assert _impurity_rows(np.array([[1.0, 1.0, 1.0, 1.0]]), "entropy")[0] == pytest.approx(2.0)
 
 
 def test_tree_learns_axis_split():
@@ -41,19 +42,19 @@ def test_leaf_scores_are_class_frequencies():
     assert p[0].tolist() == [0.6, 0.4]
 
 
-def _leaf_sizes(node, X, y, idx, out):
-    if node.is_leaf:
+def _leaf_sizes(tree, node, X, idx, out):
+    if tree.feature[node] < 0:
         out.append(len(idx))
         return
-    left = X[idx, node.feature] <= node.threshold
-    _leaf_sizes(node.left, X, y, idx[left], out)
-    _leaf_sizes(node.right, X, y, idx[~left], out)
+    left = X[idx, tree.feature[node]] <= tree.threshold[node]
+    _leaf_sizes(tree, tree.left[node], X, idx[left], out)
+    _leaf_sizes(tree, tree.right[node], X, idx[~left], out)
 
 
-def _depth(node):
-    if node.is_leaf:
+def _depth(tree, node=0):
+    if tree.feature[node] < 0:
         return 0
-    return 1 + max(_depth(node.left), _depth(node.right))
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
 
 
 @pytest.mark.parametrize("splitter", ["random", "best"])
@@ -63,10 +64,10 @@ def test_stopping_rules_respected(splitter):
     m = DecisionTreeClassifier(max_depth=4, max_features=6, min_samples_leaf=9,
                                splitter=splitter, seed=1).fit(X, y)
     sizes = []
-    _leaf_sizes(m.root_, X, y, np.arange(len(X)), sizes)
+    _leaf_sizes(m.tree_, 0, X, np.arange(len(X)), sizes)
     assert min(sizes) >= 9
     assert sum(sizes) == len(X)
-    assert _depth(m.root_) <= 4
+    assert _depth(m.tree_) <= 4
 
 
 def test_random_splitter_deterministic_per_seed():
@@ -121,11 +122,9 @@ def test_forest_score_equals_vote_fraction_under_hard_leaves():
     forest = RandomForestClassifier(n_estimators=25, seed=6).fit(X, y)
     scores = forest.predict_proba(X)
     # oracle: count the per-tree votes; fully grown leaves are pure
-    from cardiofuse.models.tree import _predict_node
     votes = np.zeros_like(scores)
-    for root in forest.trees_:
-        buf = np.zeros_like(scores)
-        _predict_node(root, X, np.arange(len(X)), buf)
+    for tree in forest.trees_:
+        buf = tree.predict(X)
         assert np.isin(buf, (0.0, 1.0)).all()  # hard leaves
         votes[np.arange(len(X)), buf.argmax(axis=1)] += 1
     assert np.allclose(scores, votes / 25)
@@ -154,3 +153,20 @@ def test_serialization_round_trip():
     m = RandomForestClassifier(n_estimators=5, seed=2).fit(X, y)
     clone = ProbabilisticClassifier.from_dict(m.to_dict())
     assert np.array_equal(clone.predict_proba(X), m.predict_proba(X))
+
+
+def test_tree_document_round_trips_unchanged():
+    # pins the nested v1 node format: {"dist"} leaves, {"feature",
+    # "threshold", "left", "right"} splits
+    rng = np.random.default_rng(10)
+    X, y = blob_data(rng, n=100, d=4, k=3)
+    dt = DecisionTreeClassifier(min_samples_leaf=2, seed=1).fit(X, y)
+    rf = RandomForestClassifier(n_estimators=4, seed=2).fit(X, y)
+    docs = [dt.to_dict()["params"]["root"]] + rf.to_dict()["params"]["trees"]
+    for doc in docs:
+        assert Tree.from_dict(doc).to_dict() == doc
+    leaf = docs[0]
+    while "dist" not in leaf:
+        assert list(leaf) == ["feature", "threshold", "left", "right"]
+        leaf = leaf["left"]
+    assert list(leaf) == ["dist"] and len(leaf["dist"]) == 3

@@ -114,6 +114,8 @@ def test_emit_report_writes_expected_files(tmp_path):
     emit_report(rep, tmp_path)
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "summary.md").exists()
+    # the preprocessing record lives in report.json only
+    assert not (tmp_path / "preprocessing.json").exists()
     lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 + 1  # header + 2 members + 1 fusion
     assert (tmp_path / "roc" / "LR_class1.csv").exists()
@@ -222,6 +224,30 @@ def test_cli_exit_codes(tmp_path):
                                "fusion_pairs": [["LR", "DT"]]}))
     assert cli_main(["run", "--config", str(cfg),
                      "--report-dir", str(tmp_path / "rep")]) == 3
+
+
+@pytest.mark.parametrize("hyperparams, message", [
+    ({"RF": {"bogus": 1}}, "RF has no parameter 'bogus'"),
+    ({"XX": {"C": 1}}, "unknown model kind 'XX'"),
+    ({"LR": [1.0]}, "LR needs a mapping of parameters"),
+    ([["LR", 1.0]], "hyperparams must map model kinds"),
+])
+def test_cli_rejects_bad_hyperparams_as_config_error(tmp_path, capsys, hyperparams, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hyperparams": hyperparams,
+                               "fusion_pairs": [["LR", "RF"]]}))
+    assert cli_main(["run", "--config", str(cfg),
+                     "--report-dir", str(tmp_path / "rep")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_cli_one_row_data_file_is_a_data_error(tmp_path, capsys):
+    one = tmp_path / "one.data"
+    one.write_text("63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,6.0,0\n")
+    assert cli_main(["run", "--data", str(one),
+                     "--report-dir", str(tmp_path / "rep")]) == 2
+    assert "stage 'split'" in capsys.readouterr().err
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

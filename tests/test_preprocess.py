@@ -164,6 +164,13 @@ def test_split_stratification_within_one_sample(cleveland):
         assert abs(got - total * 0.2) <= 1.0
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_split_rejects_fewer_than_two_rows(n):
+    t = one_column_table(np.arange(n, dtype=float))
+    with pytest.raises(PreprocessError, match=f"{n} row"):
+        split(t, SplitSpec(0.2, seed=0))
+
+
 def test_split_falls_back_when_class_too_small():
     rows = np.arange(10, dtype=float).reshape(-1, 1)
     t = one_column_table(rows, labels=[0] * 9 + [1])
