@@ -1,9 +1,12 @@
-"""Soft-margin SVM trained with SMO, calibrated to probabilities via Platt.
+"""Soft-margin SVM, calibrated to probabilities via Platt.
 
-Binary mode optimizes the dual of  min 1/2||w||^2 + C sum(xi)  over a
-precomputed kernel matrix (RBF by default). Multiclass mode trains one
-linear-kernel machine per class (one-vs-rest) and normalizes the
-calibrated per-class probabilities across classes.
+Binary mode solves the dual of  min 1/2||w||^2 + C sum(xi)  (RBF kernel by
+default); multiclass mode trains one linear-kernel machine per class
+(one-vs-rest) and normalizes the calibrated per-class probabilities. The
+dual is solved by a Mehrotra predictor-corrector interior-point method that
+sees the kernel only through a low-rank factor K = ZZ' (Fine & Scheinberg,
+JMLR 2001; Ferris & Munson, SIAM J. Optim. 2002) and stops at LIBSVM's gap
+m(alpha) - M(alpha) <= tol.
 """
 
 from __future__ import annotations
@@ -25,103 +28,103 @@ def linear_kernel(A, B, gamma=None):
     return A @ B.T
 
 
-class _SMO:
-    """Sequential minimal optimization with an incrementally updated error cache."""
+KERNELS = {"rbf": rbf_kernel, "linear": linear_kernel}
 
-    def __init__(self, K, y, C, tol=1e-3, max_passes=200):
-        self.K = K
-        self.y = y.astype(np.float64)  # +/-1 labels
-        self.C = C
-        self.tol = tol
-        self.max_passes = max_passes
-        n = len(y)
-        self.alpha = np.zeros(n)
-        self.b = 0.0
-        self.E = -self.y.copy()  # decision(0) - y
-        self.converged = False
 
-    def _violates(self, i) -> bool:
-        r = self.E[i] * self.y[i]
-        return (r < -self.tol and self.alpha[i] < self.C) or \
-               (r > self.tol and self.alpha[i] > 0)
+def kernel_factor(X, kernel="rbf", gamma=0.1):
+    """Pivoted incomplete Cholesky: Z (n x r) with kernel(X, X) = Z Z^T to
+    within 1e-10 of the largest diagonal entry. Each pivot computes one
+    kernel column, so the n x n kernel is never formed."""
+    n = len(X)
+    d = np.ones(n) if kernel == "rbf" else (X * X).sum(axis=1)
+    stop = 1e-10 * d.max()
+    Z = np.zeros((n, n), order="F")
+    r = 0
+    while r < n and d.max() > stop:
+        p = int(np.argmax(d))
+        column = KERNELS[kernel](X, X[p:p + 1], gamma)[:, 0] - Z[:, :r] @ Z[p, :r]
+        Z[:, r] = column / np.sqrt(d[p])
+        d -= Z[:, r] ** 2
+        r += 1
+    return np.ascontiguousarray(Z[:, :r])
 
-    def _examine(self, i, rng) -> int:
-        if not self._violates(i):
-            return 0
-        # second-choice heuristic, then non-bound partners, then everyone
-        j = int(np.argmax(np.abs(self.E - self.E[i])))
-        if j != i and self._step(i, j):
-            return 1
-        nonbound = np.flatnonzero((self.alpha > 0) & (self.alpha < self.C))
-        for j in rng.permutation(nonbound):
-            if j != i and self._step(i, int(j)):
-                return 1
-        for j in rng.permutation(len(self.y)):
-            if j != i and self._step(i, int(j)):
-                return 1
-        return 0
 
-    def solve(self):
-        n = len(self.y)
-        rng = np.random.default_rng(0)
-        examine_all = True
-        for _ in range(self.max_passes):
-            changed = 0
-            if examine_all:
-                idx = range(n)
-            else:
-                idx = np.flatnonzero((self.alpha > 0) & (self.alpha < self.C))
-            for i in idx:
-                changed += self._examine(int(i), rng)
-            if examine_all:
-                if changed == 0:
-                    break
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        self.converged = not any(self._violates(i) for i in range(n))
-        if not self.converged:
-            warnings.warn("SMO hit its pass cap before meeting the KKT tolerance; "
-                          "returning the best iterate")
+def _snap(a, s, z, v, y, C, grad):
+    """Round an interior iterate onto its bounds and rate the result.
 
-    def _step(self, i, j) -> bool:
-        if i == j:
-            return False
-        a_i, a_j = self.alpha[i], self.alpha[j]
-        y_i, y_j = self.y[i], self.y[j]
-        Ei, Ej = self.E[i], self.E[j]
-        if y_i != y_j:
-            L, H = max(0.0, a_j - a_i), min(self.C, self.C + a_j - a_i)
-        else:
-            L, H = max(0.0, a_i + a_j - self.C), min(self.C, a_i + a_j)
-        if H - L < 1e-12:
-            return False
-        eta = 2.0 * self.K[i, j] - self.K[i, i] - self.K[j, j]
-        if eta >= 0:
-            return False
-        a_j_new = float(np.clip(a_j - y_j * (Ei - Ej) / eta, L, H))
-        if abs(a_j_new - a_j) < 1e-8 * (a_j_new + a_j + 1e-8):
-            return False
-        a_i_new = a_i + y_i * y_j * (a_j - a_j_new)
+    alpha -> 0 where alpha < z and alpha -> C where C - alpha < v, then the
+    free rows absorb y'alpha. Where that leaves the box, or no row is free
+    to absorb it, the interior iterate is rated as it is. Returns alpha, b
+    and LIBSVM's gap m(alpha) - M(alpha) over -y * grad(alpha).
+    """
+    alpha = np.where(a < z, 0.0, np.where(s < v, C, a))
+    free = (alpha > 0) & (alpha < C)
+    if free.any():
+        alpha[free] -= y[free] * (y @ alpha) / free.sum()
+        feasible = ((alpha[free] > 0) & (alpha[free] < C)).all()
+    else:
+        feasible = y @ (alpha == C) == 0
+    if not feasible:
+        alpha = np.clip(a, 0.0, C)
+        free = (alpha > 0) & (alpha < C)
+    score = -y * grad(alpha)
+    m = score[np.where(y > 0, alpha < C, alpha > 0)].max()
+    M = score[np.where(y > 0, alpha > 0, alpha < C)].min()
+    b = float(score[free].mean()) if free.any() else (m + M) / 2.0
+    return alpha, b, float(m - M)
 
-        d_i = y_i * (a_i_new - a_i)
-        d_j = y_j * (a_j_new - a_j)
-        b1 = self.b - Ei - d_i * self.K[i, i] - d_j * self.K[i, j]
-        b2 = self.b - Ej - d_i * self.K[i, j] - d_j * self.K[j, j]
-        if 0 < a_i_new < self.C:
-            b_new = b1
-        elif 0 < a_j_new < self.C:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
 
-        self.E += d_i * self.K[:, i] + d_j * self.K[:, j] + (b_new - self.b)
-        self.alpha[i], self.alpha[j] = a_i_new, a_j_new
-        self.b = b_new
-        return True
+def _solve_dual(Z, y, C, tol, max_iter):
+    """Mehrotra predictor-corrector interior-point method on the SVM dual.
 
-    def decision(self):
-        return self.K @ (self.alpha * self.y) + self.b
+    Minimises 1/2 a'Qa - e'a subject to y'a = 0 and 0 <= a <= C, where
+    Q = diag(y) Z Z' diag(y); s = C - a is the slack and z, v, b are the
+    multipliers of a >= 0, a <= C and y'a = 0. A Newton step solves with
+    Q + D, D = z/a + v/s, by Woodbury: with Zs = D^-1/2 Z, (ZZ' + D)^-1 is
+    D^-1/2 (I - Zs S^-1 Zs') D^-1/2 and S = I + Zs'Zs is the only system
+    solved (r x r). D is raised by 1e-8: as D -> 0 on the free rows S grows
+    too ill-conditioned to solve, and the iterates stall. Returns the best
+    snapped iterate (_snap) and {iterations, converged, gap}.
+    """
+    n, r = Z.shape
+    if abs(y.sum()) == n:   # one class only: alpha = 0 and y*f = 1 on every row
+        return np.zeros(n), float(y[0]), {"iterations": 0, "converged": True, "gap": 0.0}
+    grad = lambda x: y * (Z @ (Z.T @ (y * x))) - 1.0
+    a = np.where(y > 0, (y < 0).sum(), (y > 0).sum()) * (C / n)   # y'a = 0
+    s, z, v, b = C - a, np.ones(n), np.ones(n), 0.0
+    best = (None, 0.0, np.inf)
+    for it in range(max_iter + 1):
+        best = min(best, _snap(a, s, z, v, y, C, grad), key=lambda snapped: snapped[2])
+        if best[2] <= tol or it == max_iter:
+            break
+        rd = grad(a) + b * y - z + v          # dual residual
+        ru = a + s - C                        # slack residual
+        dh = 1.0 / np.sqrt(z / a + v / s + 1e-8)
+        Zs = Z * dh[:, None]
+        S = Zs.T @ Zs
+        S.flat[::r + 1] += 1.0
+        def solve(u):  # (Q + D)^-1 u
+            w = dh * (y * u)
+            return y * dh * (w - Zs @ np.linalg.solve(S, Zs.T @ w))
+        h = solve(y)
+        def newton(cz, cv):  # step that changes a*z by cz and s*v by cv, to first order
+            g = solve(cz / a - (cv + v * ru) / s - rd)
+            db = (y @ g + y @ a) / (y @ h)
+            da = g - h * db
+            return da, -ru - da, db, (cz - z * da) / a, (cv + v * (ru + da)) / s
+        def reach(da, ds, dz, dv):  # longest step in (0, 1] keeping a, s, z, v >= 0
+            ratios = [-x[dx < 0] / dx[dx < 0] for x, dx in ((a, da), (s, ds), (z, dz), (v, dv))]
+            return min(1.0, float(np.concatenate(ratios).min(initial=np.inf)))
+
+        mu = (a @ z + s @ v) / (2 * n)
+        da, ds, db, dz, dv = newton(-a * z, -s * v)                      # predictor
+        t = reach(da, ds, dz, dv)
+        mu_aff = ((a + t * da) @ (z + t * dz) + (s + t * ds) @ (v + t * dv)) / (2 * n)
+        sm = (mu_aff / mu) ** 3 * mu
+        da, ds, db, dz, dv = newton(sm - a * z - da * dz, sm - s * v - ds * dv)  # corrector
+        t = min(1.0, 0.99 * reach(da, ds, dz, dv))
+        a, s, b, z, v = a + t * da, s + t * ds, b + t * db, z + t * dz, v + t * dv
+    return best[0], best[1], {"iterations": it, "converged": best[2] <= tol, "gap": best[2]}
 
 
 def fit_platt(decision: np.ndarray, target01: np.ndarray, max_iter=100):
@@ -165,7 +168,7 @@ class SVMClassifier(ProbabilisticClassifier):
         super().__init__()
         if C <= 0:
             raise ValueError("C must be positive")
-        if kernel not in ("rbf", "linear"):
+        if kernel not in KERNELS:
             raise ValueError(f"unsupported kernel {kernel!r}")
         self.C = C
         self.kernel = kernel
@@ -174,11 +177,10 @@ class SVMClassifier(ProbabilisticClassifier):
         self.max_passes = max_passes
         self.machines_ = []
         self.single_class_ = None
+        self.solver_ = []   # per machine: {iterations, converged, gap}
 
     def _kernel(self, A, B):
-        if self.kernel == "rbf":
-            return rbf_kernel(A, B, self.gamma)
-        return linear_kernel(A, B)
+        return KERNELS[self.kernel](A, B, self.gamma)
 
     def _fit(self, X, y):
         k = self.class_count_
@@ -186,22 +188,20 @@ class SVMClassifier(ProbabilisticClassifier):
         if len(present) == 1:
             self.single_class_ = int(present[0])
             return
-        self.single_class_ = None
-        self.machines_ = []
-        K = self._kernel(X, X)
+        self.single_class_, self.machines_, self.solver_ = None, [], []
+        Z = kernel_factor(X, self.kernel, self.gamma)
         positive_sets = [1] if k == 2 else list(range(k))
         for cls in positive_sets:
             ypm = np.where(y == cls, 1.0, -1.0)
-            smo = _SMO(K, ypm, self.C, self.tol, self.max_passes)
-            smo.solve()
-            A, B = fit_platt(smo.decision(), (ypm > 0).astype(float))
-            sv = smo.alpha > 1e-10
-            self.machines_.append({
-                "sv_X": X[sv].copy(),
-                "coef": (smo.alpha * ypm)[sv].copy(),
-                "b": smo.b,
-                "A": A, "B": B,
-            })
+            alpha, b, stats = _solve_dual(Z, ypm, self.C, self.tol, self.max_passes)
+            if not stats["converged"]:
+                warnings.warn(f"SVM dual solver hit its cap of {self.max_passes} Newton steps "
+                              "before meeting the KKT tolerance; returning the best iterate")
+            self.solver_.append(stats)
+            A, B = fit_platt(Z @ (Z.T @ (alpha * ypm)) + b, (ypm > 0).astype(float))
+            sv = alpha > 1e-10
+            self.machines_.append({"sv_X": X[sv].copy(), "coef": (alpha * ypm)[sv].copy(),
+                                   "b": b, "A": A, "B": B})
 
     def decision_function(self, X, machine: int = 0):
         m = self.machines_[machine]

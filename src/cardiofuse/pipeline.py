@@ -13,6 +13,8 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -244,10 +246,12 @@ def run_experiment(config: RunConfig) -> RunReport:
     for a, b in config.fusion_pairs:
         name = f"{a}+{b}"
         if val is not None:
+            # weights chosen on the validation rows, applied to the test rows
             sel = fusion_mod.grid_search(val_scores[a], val_scores[b], val.labels)
+            fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
         else:
             sel = fusion_mod.grid_search(member_scores[a], member_scores[b], test.labels)
-        fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
+            fused = sel.fused
         report = stage("evaluate", _evaluate, test.labels, fused.scores,
                        task.class_count, averaging)
         fusions[name] = {
@@ -304,9 +308,13 @@ def report_to_dict(report: RunReport) -> dict:
 def emit_report(report: RunReport, report_dir, formats=("markdown", "csv")) -> list[str]:
     """Write report.json plus summary tables and per-class ROC point CSVs.
 
-    Everything is built in memory first so a failing run leaves no partial
-    report directory behind. All output bytes are deterministic functions
-    of the run, keeping identical configs byte-identical on disk.
+    Everything is built in memory and written into a sibling staging
+    directory, which os.replace moves into place: a new report directory
+    appears whole, and in an existing one the report's files and roc/ are
+    swapped in by rename while other entries stay. A failed write leaves no
+    partial directory and no damaged earlier report. All output bytes are
+    deterministic functions of the run, keeping identical configs
+    byte-identical on disk.
     """
     files: dict[str, str] = {}
     doc = report_to_dict(report)
@@ -363,15 +371,28 @@ def emit_report(report: RunReport, report_dir, formats=("markdown", "csv")) -> l
             body += [f"{fpr:.6f},{tpr:.6f},{thr:.6g}" for fpr, tpr, thr in points]
             files[os.path.join("roc", f"{safe}_class{cls}.csv")] = "\n".join(body) + "\n"
 
-    os.makedirs(report_dir, exist_ok=True)
-    os.makedirs(os.path.join(report_dir, "roc"), exist_ok=True)
-    written = []
-    for rel, content in sorted(files.items()):
-        dest = os.path.join(report_dir, rel)
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        written.append(dest)
-    return written
+    report_dir = os.fspath(report_dir)
+    parent, base = os.path.split(os.path.abspath(report_dir))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{base}.", dir=parent)
+    staging = os.path.join(tmp, "report")   # made by mkdir, so it has the usual mode
+    try:
+        os.makedirs(os.path.join(staging, "roc"))
+        for rel, content in files.items():
+            with open(os.path.join(staging, rel), "w", encoding="utf-8") as fh:
+                fh.write(content)
+        if not os.path.isdir(report_dir):
+            os.replace(staging, report_dir)
+        else:
+            # swap in the report's own entries; anything else there stays
+            for name in sorted(os.listdir(staging)):
+                dest = os.path.join(report_dir, name)
+                if os.path.isdir(dest):
+                    os.replace(dest, os.path.join(tmp, name))
+                os.replace(os.path.join(staging, name), dest)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return [os.path.join(report_dir, rel) for rel in sorted(files)]
 
 
 def validate_against_paper(report_doc: dict) -> list[dict]:

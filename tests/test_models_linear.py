@@ -1,9 +1,13 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from cardiofuse.models import (LogisticRegressionClassifier, SVMClassifier,
-                               NotFittedError, ShapeError)
-from cardiofuse.models.svm import fit_platt, platt_prob
+                               NotFittedError, ProbabilisticClassifier, ShapeError)
+from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
+                                   linear_kernel, platt_prob, rbf_kernel)
 
 
 def separable_set(rng, n=20):
@@ -163,3 +167,105 @@ def test_contract_errors():
     m.fit(X, y)
     with pytest.raises(ShapeError):
         m.predict_proba(np.zeros((1, 3)))
+
+
+# interior-point dual solver ----------------------------------------------------
+
+def _desk_svm_fit(task, test_fraction, seed=0):
+    """The SVM training set and hyperparameters of one desk experiment."""
+    from cardiofuse.dataset import bundled_data_path, load_csv
+    from cardiofuse.hyperparams import defaults_for
+    from cardiofuse.pipeline import child_seed
+    from cardiofuse.preprocess import (SplitSpec, TaskKind, apply_scaler,
+                                       derive_task, encode_labels, fit_scaler,
+                                       impute_most_frequent, random_oversample,
+                                       split)
+    t = load_csv(bundled_data_path())
+    t = impute_most_frequent(t)
+    t, _ = encode_labels(t)
+    t = derive_task(t, TaskKind(task))
+    train, _ = split(t, SplitSpec(test_fraction, child_seed(seed, "split")))
+    if task == "multiclass":
+        train = random_oversample(train, child_seed(seed, "oversample"))
+    X = apply_scaler(fit_scaler(train.rows, "zscore"), train.rows)
+    return X, train.labels, defaults_for(task, test_fraction)["SVM"]
+
+
+def _assert_kkt(model, X, y):
+    """Every machine converged, and its margins meet the KKT conditions at tol."""
+    Z = kernel_factor(X, model.kernel, model.gamma)
+    positives = [1] if model.class_count_ == 2 else range(model.class_count_)
+    assert len(model.solver_) == len(model.machines_) == len(positives)
+    for i, cls in enumerate(positives):
+        stats = model.solver_[i]
+        assert stats["converged"] and stats["gap"] <= model.tol
+        assert 0 < stats["iterations"] <= model.max_passes
+        ypm = np.where(y == cls, 1.0, -1.0)
+        alpha = _solve_dual(Z, ypm, model.C, model.tol, model.max_passes)[0]
+        assert np.array_equal((alpha * ypm)[alpha > 1e-10], model.machines_[i]["coef"])
+        margin = ypm * model.decision_function(X, i) - 1.0
+        slack = model.tol + 1e-9
+        assert (margin[alpha < model.C] >= -slack).all()
+        assert (margin[alpha > 0] <= slack).all()
+
+
+@pytest.mark.parametrize("task", ["binary", "multiclass"])
+@pytest.mark.parametrize("test_fraction", [0.3, 0.2])
+def test_svm_desk_machines_converge(task, test_fraction):
+    X, y, hp = _desk_svm_fit(task, test_fraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SVMClassifier(**hp).fit(X, y)
+    _assert_kkt(model, X, y)
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+def test_svm_converges_on_duplicated_rows(kernel):
+    # oversampling repeats rows, which gives identical kernel rows
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 4))
+    y = (X[:, 0] - X[:, 1] + 0.5 * rng.normal(size=40) > 0).astype(np.int64)
+    repeat = rng.integers(0, 40, 80)
+    X, y = np.vstack([X, X[repeat]]), np.concatenate([y, y[repeat]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SVMClassifier(C=10.0, kernel=kernel, gamma=0.5).fit(X, y)
+    _assert_kkt(model, X, y)
+
+
+def test_svm_converges_at_large_c_on_overlapping_classes():
+    # random labels put most rows on the bound C; there the Newton systems
+    # are the worst conditioned the solver meets
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(40, 8))
+    y = (rng.random(40) < 0.5).astype(np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = SVMClassifier(C=1e5, kernel="linear", tol=1e-6).fit(X, y)
+    _assert_kkt(model, X, y)
+
+
+def test_kernel_factor_reproduces_the_kernel():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(50, 6))
+    X = np.vstack([X, X[:10]])
+    Z = kernel_factor(X, "rbf", 0.3)
+    assert np.abs(Z @ Z.T - rbf_kernel(X, X, 0.3)).max() <= 1e-10
+    assert Z.shape[1] <= 50             # duplicates add no rank
+    K = linear_kernel(X, X)
+    Z = kernel_factor(X, "linear")
+    assert np.abs(Z @ Z.T - K).max() <= 1e-10 * np.diag(K).max()
+    assert Z.shape[1] <= X.shape[1]
+
+
+@pytest.mark.parametrize("kernel,k", [("rbf", 2), ("linear", 5)])
+def test_svm_document_round_trips_scores(kernel, k):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(90, 5))
+    y = rng.integers(0, k, 90)
+    model = SVMClassifier(C=1.0, kernel=kernel, gamma=0.2).fit(X, y)
+    doc = json.loads(json.dumps(model.to_dict()))
+    assert "solver" not in json.dumps(doc)
+    again = ProbabilisticClassifier.from_dict(doc)
+    Xq = rng.normal(size=(30, 5))
+    assert np.array_equal(again.predict_proba(Xq), model.predict_proba(Xq))

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from cardiofuse import pipeline
 from cardiofuse.cli import main as cli_main
 from cardiofuse.dataset import bundled_data_path, load_csv
 from cardiofuse.fusion import FusionWeights, decide, fuse
@@ -122,6 +123,54 @@ def test_emit_report_writes_expected_files(tmp_path):
     assert (tmp_path / "roc" / "LR_RF_class1.csv").exists()
     header = (tmp_path / "summary.md").read_text().splitlines()[2]
     assert "Tp" in header and "Roc-Auc" in header
+
+
+def _tree(root):
+    """Every directory and file under root, with the bytes of each file."""
+    out = {}
+    for here, dirs, files in os.walk(root):
+        for d in dirs:
+            out[os.path.relpath(os.path.join(here, d), root)] = None
+        for f in files:
+            path = os.path.join(here, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("earlier_report", [False, True])
+def test_emit_report_failed_write_leaves_no_trace(tmp_path, monkeypatch,
+                                                  earlier_report):
+    rep = run_experiment(small_config(fusion_pairs=[("LR", "RF")]))
+    dest = tmp_path / "rep"
+    if earlier_report:
+        emit_report(run_experiment(small_config(fusion_pairs=[("LR", "DT")])), dest)
+    before = _tree(tmp_path)
+
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        if os.path.basename(path) == "summary.csv":
+            raise OSError("disk full")
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        emit_report(rep, dest)
+    assert _tree(tmp_path) == before
+
+
+def test_emit_report_replaces_an_earlier_report(tmp_path):
+    dest = tmp_path / "rep"
+    emit_report(run_experiment(small_config(fusion_pairs=[("LR", "DT")])), dest)
+    (dest / "notes.txt").write_text("kept")
+    written = emit_report(run_experiment(small_config(fusion_pairs=[("LR", "RF")])), dest)
+    # roc/ is swapped whole, so the earlier LR+DT curves are gone
+    assert sorted(os.listdir(dest / "roc")) == sorted(
+        os.path.basename(p) for p in written if os.sep + "roc" + os.sep in p)
+    assert (dest / "notes.txt").read_text() == "kept"
+    assert sorted(os.listdir(tmp_path)) == ["rep"]
+    assert "LR+RF" in json.loads((dest / "report.json").read_text())["fusions"]
 
 
 def test_weight_eval_validation_mode_runs(tmp_path):
