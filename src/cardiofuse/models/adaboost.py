@@ -23,7 +23,6 @@ def _best_stump(X, y, w):
     x <= threshold. Also considers the degenerate no-split stump that
     predicts the weighted-majority class everywhere.
     """
-    d = X.shape[1]
     w1 = float(w[y == 1].sum())
     w0 = float(w.sum()) - w1
     # threshold below every value: everything goes right
@@ -31,20 +30,18 @@ def _best_stump(X, y, w):
         best = (-1, -np.inf, 1, 1, w0)
     else:
         best = (-1, -np.inf, 0, 0, w1)
-    Yw = one_hot(y, 2) * w[:, None]   # per-row weight in its class column
-    for f in range(d):
-        thresholds, _, left = split_scan(X[:, f], Yw)
-        if len(thresholds) == 0:
-            continue
-        left0, left1 = left[:, 0], left[:, 1]   # class weights left of the threshold
-        # orientation A: left -> 0, right -> 1 ; errors are misweighted mass
-        errA = left1 + (w0 - left0)
-        # orientation B: left -> 1, right -> 0
-        errB = left0 + (w1 - left1)
-        for err, lc, rc in ((errA, 0, 1), (errB, 1, 0)):
-            i = int(np.argmin(err))
-            if err[i] < best[4]:
-                best = (f, float(thresholds[i]), lc, rc, float(err[i]))
+    # per-row weight in its class column, summed left of every cut of every feature
+    xs, left, ok = split_scan(X, one_hot(y, 2) * w[:, None])
+    left0, left1 = left[..., 0], left[..., 1]   # class weights left of the threshold
+    # orientation A: left -> 0, right -> 1; B: left -> 1, right -> 0;
+    # errors are misweighted mass, searched feature-major, then A before B
+    err = np.stack([left1 + (w0 - left0), left0 + (w1 - left1)])   # (orientation, cut, feature)
+    err = np.where(ok, err, np.inf).transpose(2, 0, 1)
+    if ok.any():   # some feature takes two distinct values
+        f, o, i = np.unravel_index(int(np.argmin(err)), err.shape)
+        if err[f, o, i] < best[4]:   # a tie keeps the degenerate stump
+            best = (int(f), float((xs[i, f] + xs[i + 1, f]) / 2.0), int(o), 1 - int(o),
+                    float(err[f, o, i]))
     return best
 
 
@@ -74,6 +71,11 @@ class AdaBoostClassifier(ProbabilisticClassifier):
         for _ in range(self.n_estimators):
             f, thr, lc, rc, eps = _best_stump(X, y, w)
             if eps >= 0.5:
+                if not self.stumps_:
+                    # the first stump, fitted on uniform weights, is already at
+                    # chance: keep it as a zero-weight majority vote
+                    self.stumps_.append((f, thr, lc, rc))
+                    self.alphas_.append(0.0)
                 break
             pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
             if eps <= 0:
@@ -89,11 +91,6 @@ class AdaBoostClassifier(ProbabilisticClassifier):
             w = w * np.exp(alpha * miss)
             w = w / w.sum()
             self.weight_history_sum_.append(float(w.sum()))
-        if not self.stumps_:
-            # first stump already at chance: fall back to the majority vote
-            f, thr, lc, rc, _ = _best_stump(X, y, np.full(n, 1.0 / n))
-            self.stumps_.append((f, thr, lc, rc))
-            self.alphas_.append(0.0)
 
     def vote_totals(self, X):
         n = X.shape[0]

@@ -240,7 +240,8 @@ class SVMClassifier(ProbabilisticClassifier):
         self.gamma = doc["gamma"]
         self.single_class_ = doc["single_class"]
         self.machines_ = [{
-            "sv_X": np.asarray(m["sv_X"], dtype=np.float64),
+            # (0, d) when a machine keeps no support vector, e.g. its class had no rows
+            "sv_X": np.asarray(m["sv_X"], dtype=np.float64).reshape(-1, self.n_features_),
             "coef": np.asarray(m["coef"], dtype=np.float64),
             "b": m["b"], "A": m["A"], "B": m["B"],
         } for m in doc["machines"]]

@@ -3,7 +3,8 @@
 The "random" splitter draws one uniform threshold per candidate feature
 between that feature's min and max at the node and keeps the impurity-
 minimizing (feature, threshold). The "best" splitter scans every midpoint
-of consecutive distinct values. Leaves store class-frequency vectors.
+of consecutive distinct values of all candidate features in one sorted
+cumulative pass (``split_scan``). Leaves store class-frequency vectors.
 """
 
 from __future__ import annotations
@@ -25,17 +26,18 @@ def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
     return -(p * logp).sum(axis=1)
 
 
-def split_scan(x: np.ndarray, Y: np.ndarray):
-    """Cuts between consecutive distinct values of ``x``, scanned in stable sort order.
+def split_scan(X: np.ndarray, Y: np.ndarray):
+    """Stable sort of every column of ``X`` with running sums of the per-row matrix ``Y``.
 
-    Returns each cut's midpoint threshold, its left-partition size and the
-    column sums of the per-row matrix ``Y`` over the rows left of it.
+    Returns the sorted columns ``xs`` (n x m); the sums of ``Y`` over the rows
+    left of each cut, ``left`` ((n-1) x m x k), where cut i keeps i + 1 rows
+    on its left; and ``ok`` ((n-1) x m), which marks the cuts between
+    distinct values. Cut i of column j thresholds at (xs[i, j] + xs[i+1, j]) / 2.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cut = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-    left = np.cumsum(Y[order], axis=0)[cut - 1]
-    return (xs[cut - 1] + xs[cut]) / 2.0, cut, left
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = X[order, np.arange(X.shape[1])]
+    left = np.cumsum(Y[order], axis=0)[:-1]
+    return xs, left, xs[1:] > xs[:-1]
 
 
 class Tree:
@@ -148,35 +150,36 @@ class _TreeBuilder:
         return Tree.grow((np.arange(len(y)), 0), expand)
 
     def _best_split(self, X, y, counts):
-        """(feature, threshold) minimizing the weighted child impurity, or None."""
+        """(feature, threshold) minimizing the weighted child impurity, or None.
+
+        Ties go to the earlier candidate, then to the lower threshold.
+        """
         n, d = X.shape
-        m = min(self.max_features, d)
-        candidates = self.rng.choice(d, size=m, replace=False)
-        onehot = one_hot(y, self.k)
-        best = None  # (score, feature, threshold)
-        for f in candidates:
-            x = X[:, f]
-            lo, hi = x.min(), x.max()
-            if lo == hi:
-                continue
-            if self.splitter == "random":
-                thr = float(self.rng.uniform(lo, hi))
-                go_left = x <= thr
-                thresholds, cut = np.array([thr]), np.array([go_left.sum()])
-                left = onehot[go_left].sum(axis=0, keepdims=True)
-            else:
-                thresholds, cut, left = split_scan(x, onehot)
-            valid = (cut >= self.min_leaf) & (n - cut >= self.min_leaf)
-            if not valid.any():
-                continue
-            cut, left = cut[valid], left[valid]
-            impL = _impurity_rows(left, self.criterion)
-            impR = _impurity_rows(counts - left, self.criterion)
-            scores = (cut * impL + (n - cut) * impR) / n
-            i = int(np.argmin(scores))
-            if best is None or scores[i] < best[0]:
-                best = (scores[i], int(f), float(thresholds[valid][i]))
-        return None if best is None else best[1:]
+        candidates = self.rng.choice(d, size=min(self.max_features, d), replace=False)
+        X, onehot = X[:, candidates], one_hot(y, self.k)
+        if self.splitter == "best":
+            xs, left, ok = split_scan(X, onehot)
+            cut = np.arange(1, n)[:, None]   # left-partition size of each cut
+            ok &= (cut >= self.min_leaf) & (n - cut >= self.min_leaf)
+            j, i = np.nonzero(ok.T)   # valid cuts, candidate-major
+            cut, left, thresholds = i + 1, left[i, j], (xs[i, j] + xs[i + 1, j]) / 2.0
+        else:
+            lo, hi = X.min(axis=0), X.max(axis=0)
+            live = np.flatnonzero(lo != hi)
+            # one uniform draw per non-constant candidate, in candidate order, as
+            # scalar draws one candidate at a time would read the stream
+            thresholds = self.rng.uniform(lo[live], hi[live])
+            go_left = X[:, live] <= thresholds
+            cut = go_left.sum(axis=0)
+            ok = (cut >= self.min_leaf) & (n - cut >= self.min_leaf)
+            j, cut, thresholds = live[ok], cut[ok], thresholds[ok]
+            left = go_left[:, ok].T @ onehot
+        if len(cut) == 0:
+            return None
+        impL = _impurity_rows(left, self.criterion)
+        impR = _impurity_rows(counts - left, self.criterion)
+        b = int(np.argmin((cut * impL + (n - cut) * impR) / n))
+        return int(candidates[j[b]]), float(thresholds[b])
 
 
 class DecisionTreeClassifier(ProbabilisticClassifier):

@@ -3,6 +3,7 @@ import pytest
 
 from cardiofuse.models import (AdaBoostClassifier, MLPClassifier, ModelError,
                                ProbabilisticClassifier)
+from cardiofuse.models.adaboost import _best_stump
 from cardiofuse.models.base import one_hot
 
 
@@ -150,6 +151,59 @@ def test_adaboost_perfect_stump_caps_alpha():
     # error 0 on the first stump: alpha capped, ensemble closed early
     assert len(m.alphas_) == 1
     assert m.alphas_[0] == pytest.approx(0.01 * 0.5 * np.log(1e10))
+
+
+def _stump_oracle(X, y, w):
+    """Brute force: features in order, orientation (0, 1) before (1, 0), midpoints ascending."""
+    w1 = w[y == 1].sum()
+    w0 = w.sum() - w1
+    best = (-1, -np.inf, 1, 1, w0) if w1 >= w0 else (-1, -np.inf, 0, 0, w1)
+    for f in range(X.shape[1]):
+        values = sorted(set(X[:, f]))
+        for lc, rc in ((0, 1), (1, 0)):
+            for a, b in zip(values, values[1:]):
+                thr = (a + b) / 2.0
+                err = w[np.where(X[:, f] <= thr, lc, rc) != y].sum()
+                if err < best[4]:   # the first minimum wins a tie
+                    best = (f, thr, lc, rc, err)
+    return best
+
+
+def test_best_stump_matches_brute_force_and_its_tie_order():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        X = rng.integers(0, 4, size=(n, d)).astype(float)   # many tied values and errors
+        if trial % 3 == 0:
+            X = np.hstack([X, X])   # every stump ties with its duplicate feature
+        y = rng.integers(0, 2, n)
+        w = rng.integers(1, 5, n) / 64.0   # dyadic weights: every sum is exact
+        got, want = _best_stump(X, y, w), _stump_oracle(X, y, w)
+        assert got == tuple(float(v) if i in (1, 4) else int(v) for i, v in enumerate(want))
+
+
+def test_best_stump_near_brute_force_on_real_valued_weights():
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        X = rng.normal(size=(n, 3))
+        y = rng.integers(0, 2, n)
+        w = rng.random(n)
+        w /= w.sum()
+        f, thr, lc, rc, err = _best_stump(X, y, w)
+        assert err == pytest.approx(_stump_oracle(X, y, w)[4], abs=1e-12)
+        pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
+        assert err == pytest.approx(w[pred != y].sum(), abs=1e-12)
+
+
+def test_adaboost_at_chance_keeps_the_uniform_weight_stump():
+    # XOR: no stump beats 0.5 weighted error, so the first round stops the ensemble
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    y = np.array([0, 1, 1, 0])
+    m = AdaBoostClassifier(n_estimators=10).fit(X, y)
+    assert m.stumps_ == [_best_stump(X, y, np.full(4, 0.25))[:4]]
+    assert m.alphas_ == [0.0] and m.weight_history_sum_ == []
+    assert (m.predict_proba(X) == 0.5).all()
 
 
 def test_adaboost_rejects_multiclass():
