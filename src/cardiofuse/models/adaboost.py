@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelError, ProbabilisticClassifier, one_hot
+from .base import ModelError, ProbabilisticClassifier, one_hot, softmax
 from .tree import split_scan
 
 ALPHA_CAP_LOG = 0.5 * np.log(1e10)
@@ -101,10 +101,7 @@ class AdaBoostClassifier(ProbabilisticClassifier):
         return F
 
     def _scores(self, X):
-        F = self.vote_totals(X)
-        z = F - F.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self.vote_totals(X))
 
     def _params_to_dict(self):
         return {"n_estimators": self.n_estimators, "learning_rate": self.learning_rate,

@@ -1,9 +1,10 @@
 """Random forest: bagged best-split trees with per-split feature subsampling.
 
-Each tree trains on a bootstrap sample the same size as the training set
-(row sampling with replacement) and considers round(sqrt(d)) features per
-split. Scores are the mean of the trees' leaf frequency vectors (soft
-voting); argmax of the mean equals the majority vote under hard leaves.
+Each tree trains on a bootstrap sample of the training set's size, drawn
+from its own generator, and considers round(sqrt(d)) features per split.
+All trees grow in lockstep (``tree.grow_forest``), one segmented split scan
+per batch of nodes. Scores are the mean of the trees' leaf frequency vectors
+(soft voting); argmax of the mean is the majority vote under hard leaves.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ProbabilisticClassifier
-from .tree import Tree, _TreeBuilder
+from .tree import Tree, grow_forest
 
 
 class RandomForestClassifier(ProbabilisticClassifier):
@@ -40,17 +41,11 @@ class RandomForestClassifier(ProbabilisticClassifier):
         n, d = X.shape
         m = self.max_features or int(round(np.sqrt(d)))
         self.tree_seeds_ = np.random.SeedSequence(self.seed).generate_state(self.n_estimators)
-        self.trees_ = []
-        for s in self.tree_seeds_:
-            rng = np.random.default_rng(int(s))
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                Xb, yb = X[idx], y[idx]
-            else:
-                Xb, yb = X, y
-            builder = _TreeBuilder(self.class_count_, self.criterion, self.max_depth,
-                                   m, self.min_samples_leaf, "best", rng)
-            self.trees_.append(builder.build(Xb, yb))
+        rngs = [np.random.default_rng(int(s)) for s in self.tree_seeds_]
+        # bootstrap rows as indices into X, made lazily so no list keeps them alive
+        roots = (rng.integers(0, n, size=n) if self.bootstrap else np.arange(n) for rng in rngs)
+        self.trees_ = grow_forest(X, y, self.class_count_, roots, rngs, self.criterion,
+                                  self.max_depth, m, self.min_samples_leaf)
 
     def _scores(self, X):
         total = np.zeros((X.shape[0], self.class_count_))

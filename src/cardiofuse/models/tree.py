@@ -1,17 +1,17 @@
-"""Decision-tree induction with gini/entropy impurity and two splitters.
+"""Decision trees with gini/entropy impurity and two splitters, grown in lockstep.
 
-The "random" splitter draws one uniform threshold per candidate feature
-between that feature's min and max at the node and keeps the impurity-
-minimizing (feature, threshold). The "best" splitter scans every midpoint
-of consecutive distinct values of all candidate features in one sorted
-cumulative pass (``split_scan``). Leaves store class-frequency vectors.
+``grow_forest`` grows every tree of a forest at once (DT is a one-tree forest):
+each step takes the next preorder node of every tree, and one segmented scan
+serves a batch of them. The "best" splitter scans every midpoint between
+distinct values of the candidate features; the "random" splitter draws one
+uniform threshold per candidate feature. Leaves store class frequencies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import ProbabilisticClassifier, one_hot
+from .base import ProbabilisticClassifier
 
 
 def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -56,43 +56,23 @@ class Tree:
         self.value = np.asarray(value, dtype=np.float64)
 
     @classmethod
-    def grow(cls, root, expand) -> "Tree":
-        """Lay out the tree below ``root`` in preorder, expanding left before right.
-
-        ``expand(item)`` returns a leaf's class-frequency vector, or
-        (feature, threshold, left item, right item) for a split.
-        """
-        feature, threshold, right, value = [], [], [], {}   # value: leaf -> frequencies
-        stack = [(root, -1)]   # (item, split whose right child it is, or -1)
+    def from_dict(cls, doc: dict) -> "Tree":
+        """Lay out a nested node document in preorder, left before right."""
+        nodes, right, stack = [], [], [(doc, -1)]   # (node, split whose right child it is)
         while stack:
-            item, parent = stack.pop()
-            i = len(feature)
+            node, parent = stack.pop()
             if parent >= 0:
-                right[parent] = i
-            node = expand(item)
+                right[parent] = len(nodes)
+            nodes.append(node)
             right.append(-1)
-            if isinstance(node, tuple):
-                f, thr, left_item, right_item = node
-                feature.append(f)
-                threshold.append(thr)
-                stack += [(right_item, i), (left_item, -1)]
-            else:
-                feature.append(-1)
-                threshold.append(0.0)
-                value[i] = node
+            if "dist" not in node:
+                stack += [(node["right"], len(nodes) - 1), (node["left"], -1)]
+        feature = [node.get("feature", -1) for node in nodes]
         # a split's left child is the node laid out right after it
         left = [i + 1 if f >= 0 else -1 for i, f in enumerate(feature)]
-        k = len(next(iter(value.values())))
-        value = [value.get(i, np.zeros(k)) for i in range(len(feature))]
-        return cls(feature, threshold, left, right, value)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Tree":
-        def expand(node):
-            if "dist" in node:
-                return node["dist"]
-            return node["feature"], node["threshold"], node["left"], node["right"]
-        return cls.grow(doc, expand)
+        k = len(next(node["dist"] for node in nodes if "dist" in node))
+        return cls(feature, [node.get("threshold", 0.0) for node in nodes], left, right,
+                   [node.get("dist", np.zeros(k)) for node in nodes])
 
     def to_dict(self) -> dict:
         """The nested v1 node document; children follow their parent, so build from the end."""
@@ -124,62 +104,146 @@ class Tree:
         return out
 
 
-class _TreeBuilder:
-    def __init__(self, k, criterion, max_depth, max_features, min_leaf, splitter, rng):
-        self.k = k
-        self.criterion = criterion
-        self.max_depth = np.inf if max_depth is None else max_depth
-        self.max_features = max_features
-        self.min_leaf = min_leaf
-        self.splitter = splitter
-        self.rng = rng
+# rows that one batch of nodes brings to the split search, give or take one
+# node: the scan's largest arrays hold rows x candidates x classes entries
+_BATCH_ROWS = 8192
 
-    def build(self, X, y) -> Tree:
-        def expand(item):
-            rows, depth = item
-            counts = np.bincount(y[rows], minlength=self.k)
-            split = None
-            if (depth < self.max_depth and len(rows) >= 2 * self.min_leaf
-                    and np.count_nonzero(counts) > 1):
-                split = self._best_split(X[rows], y[rows], counts)
-            if split is None:
-                return counts / len(rows)
-            f, thr = split
-            go_left = X[rows, f] <= thr
-            return f, thr, (rows[go_left], depth + 1), (rows[~go_left], depth + 1)
-        return Tree.grow((np.arange(len(y)), 0), expand)
 
-    def _best_split(self, X, y, counts):
-        """(feature, threshold) minimizing the weighted child impurity, or None.
+def _split_segments(X, y, R, rows, nseg, counts, cand, criterion, min_leaf, rngs=None):
+    """(feature, threshold) of every node of a batch, feature -1 where no cut is valid.
 
-        Ties go to the earlier candidate, then to the lower threshold.
-        """
-        n, d = X.shape
-        candidates = self.rng.choice(d, size=min(self.max_features, d), replace=False)
-        X, onehot = X[:, candidates], one_hot(y, self.k)
-        if self.splitter == "best":
-            xs, left, ok = split_scan(X, onehot)
-            cut = np.arange(1, n)[:, None]   # left-partition size of each cut
-            ok &= (cut >= self.min_leaf) & (n - cut >= self.min_leaf)
-            j, i = np.nonzero(ok.T)   # valid cuts, candidate-major
-            cut, left, thresholds = i + 1, left[i, j], (xs[i, j] + xs[i + 1, j]) / 2.0
+    The nodes' ``rows`` come as consecutive segments of ``nseg`` rows, with
+    their class ``counts`` and candidate features ``cand`` in draw order; ``R``
+    ranks each column of ``X``. The best splitter (no ``rngs``) sorts every
+    candidate column by (segment, value) and takes the class counts left of
+    each cut as a segmented prefix sum: one ``cumsum`` less each segment's
+    starting prefix, exact on integer counts. The random splitter draws one
+    uniform threshold per non-constant candidate from each node's generator.
+    Ties go to the earlier candidate, then to the lower threshold.
+    """
+    S, N, starts = len(nseg), len(rows), np.cumsum(nseg) - nseg
+    seg = np.repeat(np.arange(S), nseg)
+    onehot = np.eye(counts.shape[1], dtype=np.int32)[y[rows]]
+    if rngs is None:
+        key = seg[:, None] * len(X) + R[rows[:, None], cand[seg]]
+        order = np.argsort(key, axis=0)   # tied values may come in any order
+        key = np.take_along_axis(key, order, axis=0)
+        left = onehot[order]
+        np.cumsum(left, axis=0, out=left)
+        nl = np.arange(1, N + 1) - starts[seg]   # rows left of the cut after each position
+        ok = np.diff(key, axis=0, append=key[-1:]) > 0   # a larger value follows
+        ok &= ((nl < nseg[seg]) & (nl >= min_leaf) & (nseg[seg] - nl >= min_leaf))[:, None]
+        p, j = np.nonzero(ok)   # grouped by segment, then by cut
+        s = seg[p]
+        before = np.where((starts[s] > 0)[:, None], left[starts[s] - 1, j], 0)
+        L, nl, rank = left[p, j] - before, nl[p], j * N + p
+    else:
+        V = X[rows[:, None], cand[seg]]
+        lo, hi = np.minimum.reduceat(V, starts), np.maximum.reduceat(V, starts)
+        thr = np.full(lo.shape, np.nan)   # constant candidates send every row right
+        for b, rng in enumerate(rngs):
+            live = np.flatnonzero(lo[b] != hi[b])
+            # one uniform draw per non-constant candidate, in candidate order
+            thr[b, live] = rng.uniform(lo[b, live], hi[b, live])
+        go = V <= thr[seg]
+        cut = np.add.reduceat(go, starts, dtype=np.int64)
+        ok = (lo != hi) & (cut >= min_leaf) & (nseg[:, None] - cut >= min_leaf)
+        s, j = np.nonzero(ok)
+        L = np.add.reduceat(go[:, :, None] * onehot[:, None, :], starts)[s, j]
+        nl, rank = cut[s, j], j
+    feature, threshold = np.full(S, -1), np.zeros(S)
+    if len(s):
+        n = nseg[s]
+        cost = (nl * _impurity_rows(L, criterion)
+                + (n - nl) * _impurity_rows(counts[s] - L, criterion)) / n
+        # per segment: the least cost, then the least rank among its minima
+        first = np.flatnonzero(np.diff(s, prepend=-1))
+        best = np.repeat(np.minimum.reduceat(cost, first), np.diff(first, append=len(s)))
+        win = np.minimum.reduceat(np.where(cost == best, rank, np.iinfo(np.int64).max), first)
+        won = s[first]
+        if rngs is None:
+            j, p = np.divmod(win, N)
+            pair = X[rows[order[[p, p + 1], j]], cand[won, j]]
+            threshold[won] = (pair[0] + pair[1]) / 2.0
         else:
-            lo, hi = X.min(axis=0), X.max(axis=0)
-            live = np.flatnonzero(lo != hi)
-            # one uniform draw per non-constant candidate, in candidate order, as
-            # scalar draws one candidate at a time would read the stream
-            thresholds = self.rng.uniform(lo[live], hi[live])
-            go_left = X[:, live] <= thresholds
-            cut = go_left.sum(axis=0)
-            ok = (cut >= self.min_leaf) & (n - cut >= self.min_leaf)
-            j, cut, thresholds = live[ok], cut[ok], thresholds[ok]
-            left = go_left[:, ok].T @ onehot
-        if len(cut) == 0:
-            return None
-        impL = _impurity_rows(left, self.criterion)
-        impR = _impurity_rows(counts - left, self.criterion)
-        b = int(np.argmin((cut * impL + (n - cut) * impR) / n))
-        return int(candidates[j[b]]), float(thresholds[b])
+            j = win
+            threshold[won] = thr[won, j]
+        feature[won] = cand[won, j]
+    return feature, threshold
+
+
+def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_leaf,
+                splitter="best") -> list[Tree]:
+    """Grow one tree per (root rows, generator) pair, all trees in lockstep.
+
+    Each step pops the next preorder node of every unfinished tree, in
+    batches of about ``_BATCH_ROWS`` rows with one ``bincount`` each. A node
+    splits if it is above ``max_depth``, has two classes, two ``min_leaf``s of
+    rows and a valid cut; it draws its candidates with one ``rng.choice`` from
+    its own tree's generator, so every tree reads its stream as if grown
+    alone. A batch shares one ``_split_segments`` call and one stable
+    partition into children; node records are laid out once at the end.
+    """
+    d, m = X.shape[1], min(max_features, X.shape[1])
+    max_depth = np.inf if max_depth is None else max_depth
+    R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T])   # dense ranks
+    stacks = [[(np.asarray(r, dtype=np.int32), 0, -1)] for r in roots]   # (rows, depth, parent)
+    size = np.zeros(len(stacks), dtype=np.int64)   # nodes laid out so far, per tree
+    # records per batch: tree, node, parent if a right child, feature, leaf counts, threshold
+    fields = [[] for _ in range(6)]
+    live = np.arange(len(stacks))
+    while len(live):
+        items = [stacks[t].pop() for t in live]
+        end = np.cumsum([len(rows) for rows, _, _ in items])
+        # a batch: the nodes whose last rows fall in one window of _BATCH_ROWS rows
+        cuts = [0, *(np.flatnonzero(np.diff((end - 1) // _BATCH_ROWS)) + 1), len(items)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            batch, trees = items[lo:hi], live[lo:hi]
+            nseg = np.array([len(r) for r, _, _ in batch])
+            rows = np.concatenate([r for r, _, _ in batch])
+            depth = np.array([dep for _, dep, _ in batch])
+            seg = np.repeat(np.arange(len(batch)), nseg)
+            counts = np.bincount(seg * k + y[rows], minlength=len(batch) * k).reshape(-1, k)
+            ready = ((depth < max_depth) & (nseg >= 2 * min_leaf)
+                     & ((counts > 0).sum(axis=1) > 1))
+            cand = np.array([rngs[t].choice(d, size=m, replace=False) for t in trees[ready]],
+                            dtype=np.int64).reshape(ready.sum(), m)
+            feature, threshold = np.full(len(batch), -1), np.zeros(len(batch))
+            if ready.any():
+                feature[ready], threshold[ready] = _split_segments(
+                    X, y, R, rows[ready[seg]], nseg[ready], counts[ready], cand, criterion,
+                    min_leaf, [rngs[t] for t in trees[ready]] if splitter == "random" else None)
+            # one stable partition: each node's left rows, then its right rows
+            go_right = ~(X[rows, feature[seg]] <= threshold[seg])
+            part = rows[np.argsort(2 * seg + go_right, kind="stable")]
+            start = np.cumsum(nseg) - nseg
+            mid = start + np.bincount(seg[~go_right], minlength=len(batch))
+            for s in np.flatnonzero(feature >= 0):   # copies, so that no child pins ``part``
+                t, e = trees[s], start[s] + nseg[s]
+                stacks[t] += [(part[mid[s]:e].copy(), depth[s] + 1, size[t]),
+                              (part[start[s]:mid[s]].copy(), depth[s] + 1, -1)]
+            parents = [par for _, _, par in batch]
+            record = [np.asarray(f, dtype=np.int32)
+                      for f in (trees, size[trees], parents, feature, counts[feature < 0])]
+            for field, r in zip(fields, record + [threshold]):
+                field.append(r)
+        size[live] += 1
+        live = live[[len(stacks[t]) > 0 for t in live]]
+    # lay the trees out in preorder; popping a field drops its records before it is permuted
+    base = np.cumsum(size) - size
+    tree, node, parent = (np.concatenate(fields.pop(0)) for _ in range(3))
+    pos, r = base[tree] + node, parent >= 0
+    right = np.full(len(pos), -1)
+    right[base[tree[r]] + parent[r]] = node[r]
+    feature, value = np.empty(len(pos), dtype=np.int64), np.zeros((len(pos), k))
+    feature[pos] = np.concatenate(fields.pop(0))
+    counts = np.concatenate(fields.pop(0))   # the leaves', which sum to their rows
+    value[pos[feature[pos] < 0]] = counts / counts.sum(axis=1, keepdims=True)
+    threshold = np.empty(len(pos))
+    threshold[pos] = np.concatenate(fields.pop(0))
+    left = np.where(feature >= 0, np.arange(len(pos)) - np.repeat(base, size) + 1, -1)
+    return [Tree(*(a[i:i + n] for a in (feature, threshold, left, right, value)))
+            for i, n in zip(base, size)]
 
 
 class DecisionTreeClassifier(ProbabilisticClassifier):
@@ -206,10 +270,10 @@ class DecisionTreeClassifier(ProbabilisticClassifier):
         self.tree_ = None
 
     def _fit(self, X, y):
-        builder = _TreeBuilder(self.class_count_, self.criterion, self.max_depth,
-                               self.max_features, self.min_samples_leaf,
-                               self.splitter, np.random.default_rng(self.seed))
-        self.tree_ = builder.build(X, y)
+        self.tree_, = grow_forest(X, y, self.class_count_, [np.arange(len(y))],
+                                  [np.random.default_rng(self.seed)], self.criterion,
+                                  self.max_depth, self.max_features, self.min_samples_leaf,
+                                  self.splitter)
 
     def _scores(self, X):
         return self.tree_.predict(X)

@@ -305,7 +305,7 @@ def report_to_dict(report: RunReport) -> dict:
     return doc
 
 
-def emit_report(report: RunReport, report_dir, formats=("markdown", "csv")) -> list[str]:
+def emit_report(report: RunReport, report_dir) -> list[str]:
     """Write report.json plus summary tables and per-class ROC point CSVs.
 
     Everything is built in memory and written into a sibling staging
@@ -327,42 +327,40 @@ def emit_report(report: RunReport, report_dir, formats=("markdown", "csv")) -> l
         rows.append((name, f["report"]))
 
     binary = report.config.task == "binary"
-    if "markdown" in formats:
-        lines = [f"# Run summary ({report.config.task}, "
-                 f"test fraction {report.config.test_fraction})", ""]
+    lines = [f"# Run summary ({report.config.task}, "
+             f"test fraction {report.config.test_fraction})", ""]
+    if binary:
+        lines.append("| Model | Tp | Fp | Fn | Tn | Acc | Prc | Recall | F1-score | Roc-Auc |")
+        lines.append("|---|---|---|---|---|---|---|---|---|---|")
+    else:
+        lines.append("| Model | Acc | Precision | Recall | F1-score | Roc-Auc |")
+        lines.append("|---|---|---|---|---|---|")
+    for name, rep in rows:
+        m = rep.metrics
         if binary:
-            lines.append("| Model | Tp | Fp | Fn | Tn | Acc | Prc | Recall | F1-score | Roc-Auc |")
-            lines.append("|---|---|---|---|---|---|---|---|---|---|")
+            cm = metrics_mod.ConfusionMatrix(rep.confusion)
+            lines.append(f"| {name} | {cm.tp} | {cm.fp} | {cm.fn} | {cm.tn} | "
+                         f"{_fmt(m['accuracy'])} | {_fmt(m['precision'])} | "
+                         f"{_fmt(m['recall'])} | {_fmt(m['f1'])} | "
+                         f"{_fmt(rep.roc_auc * 100)} |")
         else:
-            lines.append("| Model | Acc | Precision | Recall | F1-score | Roc-Auc |")
-            lines.append("|---|---|---|---|---|---|")
-        for name, rep in rows:
-            m = rep.metrics
-            if binary:
-                cm = metrics_mod.ConfusionMatrix(rep.confusion)
-                lines.append(f"| {name} | {cm.tp} | {cm.fp} | {cm.fn} | {cm.tn} | "
-                             f"{_fmt(m['accuracy'])} | {_fmt(m['precision'])} | "
-                             f"{_fmt(m['recall'])} | {_fmt(m['f1'])} | "
-                             f"{_fmt(rep.roc_auc * 100)} |")
-            else:
-                lines.append(f"| {name} | {_fmt(m['accuracy'])} | {_fmt(m['precision'])} | "
-                             f"{_fmt(m['recall'])} | {_fmt(m['f1'])} | "
-                             f"{_fmt(rep.roc_auc * 100)} |")
-        for name, f in report.fusions.items():
-            w = f["weights"]
-            lines.append("")
-            lines.append(f"Fusion {name}: selected weights ({w.w1:g}, {w.w2:g}); sweep "
-                         + ", ".join(f"{w1:g}/{w2:g}={acc:.4f}" for w1, w2, acc in f["sweep"]))
-        files["summary.md"] = "\n".join(lines) + "\n"
+            lines.append(f"| {name} | {_fmt(m['accuracy'])} | {_fmt(m['precision'])} | "
+                         f"{_fmt(m['recall'])} | {_fmt(m['f1'])} | "
+                         f"{_fmt(rep.roc_auc * 100)} |")
+    for name, f in report.fusions.items():
+        w = f["weights"]
+        lines.append("")
+        lines.append(f"Fusion {name}: selected weights ({w.w1:g}, {w.w2:g}); sweep "
+                     + ", ".join(f"{w1:g}/{w2:g}={acc:.4f}" for w1, w2, acc in f["sweep"]))
+    files["summary.md"] = "\n".join(lines) + "\n"
 
-    if "csv" in formats:
-        out = ["model,split,accuracy,precision,recall,f1,roc_auc"]
-        for name, rep in rows:
-            m = rep.metrics
-            out.append(f"{name},{report.config.test_fraction},{_fmt(m['accuracy'])},"
-                       f"{_fmt(m['precision'])},{_fmt(m['recall'])},{_fmt(m['f1'])},"
-                       f"{rep.roc_auc:.4f}")
-        files["summary.csv"] = "\n".join(out) + "\n"
+    out = ["model,split,accuracy,precision,recall,f1,roc_auc"]
+    for name, rep in rows:
+        m = rep.metrics
+        out.append(f"{name},{report.config.test_fraction},{_fmt(m['accuracy'])},"
+                   f"{_fmt(m['precision'])},{_fmt(m['recall'])},{_fmt(m['f1'])},"
+                   f"{rep.roc_auc:.4f}")
+    files["summary.csv"] = "\n".join(out) + "\n"
 
     for name, rep in rows:
         for cls, points in rep.roc_points.items():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from cardiofuse.models import DecisionTreeClassifier, RandomForestClassifier
-from cardiofuse.models.tree import Tree, _impurity_rows, _TreeBuilder, split_scan
+from cardiofuse.models import tree as tree_mod
+from cardiofuse.models.tree import (Tree, _impurity_rows, _split_segments, grow_forest,
+                                    split_scan)
 
 def blob_data(rng, n=120, d=5, k=2):
     X = rng.normal(size=(n, d))
@@ -43,6 +45,14 @@ def test_leaf_scores_are_class_frequencies():
     m = DecisionTreeClassifier(splitter="best", seed=0).fit(X, y)
     p = m.predict_proba(np.zeros((1, 2)))
     assert p[0].tolist() == [0.6, 0.4]
+
+
+@pytest.mark.parametrize("splitter", ["random", "best"])
+def test_no_candidate_features_grows_one_leaf(splitter):
+    rng = np.random.default_rng(1)
+    X, y = blob_data(rng, n=30, d=3)
+    m = DecisionTreeClassifier(max_features=0, splitter=splitter).fit(X, y)
+    assert m.to_dict()["params"]["root"] == {"dist": (np.bincount(y) / len(y)).tolist()}
 
 
 def _leaf_sizes(tree, node, X, idx, out):
@@ -231,18 +241,68 @@ def _best_split_oracle(X, y, k, criterion, max_features, min_leaf, seed):
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
 def test_best_split_matches_the_per_feature_loop(criterion):
-    rng = np.random.default_rng(12)
-    for trial in range(40):
-        n, k = int(rng.integers(2, 40)), int(rng.integers(2, 4))
-        X = rng.integers(0, 4, size=(n, 3)).astype(float)
-        X = np.hstack([X, X[:, :1]])   # a duplicated column ties with its original
-        y = rng.integers(0, k, n)
-        max_features, min_leaf = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        builder = _TreeBuilder(k, criterion, None, max_features, min_leaf, "best",
-                               np.random.default_rng(trial))
-        counts = np.bincount(y, minlength=k)
-        want = _best_split_oracle(X, y, k, criterion, max_features, min_leaf, trial)
-        assert builder._best_split(X, y, counts) == want
+    # all 40 trial nodes go through one segmented scan, so the segment
+    # boundaries, the duplicated-column tie and the leaf mask meet in one call
+    k = 3
+    for max_features, min_leaf in [(1, 1), (2, 3), (3, 2), (4, 1), (4, 3), (2, 0)]:
+        rng = np.random.default_rng(12)
+        Xs, ys, cand, want = [], [], [], []
+        for trial in range(40):
+            n = int(rng.integers(2, 40))
+            X = rng.integers(0, 4, size=(n, 3)).astype(float)
+            X = np.hstack([X, X[:, :1]])   # a duplicated column ties with its original
+            y = rng.integers(0, int(rng.integers(2, k + 1)), n)
+            Xs.append(X)
+            ys.append(y)
+            cand.append(np.random.default_rng(trial).choice(4, size=max_features, replace=False))
+            want.append(_best_split_oracle(X, y, k, criterion, max_features, min_leaf, trial))
+        X, y = np.vstack(Xs), np.concatenate(ys)
+        nseg = np.array([len(v) for v in ys])
+        counts = np.array([np.bincount(v, minlength=k) for v in ys])
+        # the rows of each node, shuffled, so that segments are not in table order
+        rows = np.concatenate([rng.permutation(np.arange(a - len(v), a))
+                               for v, a in zip(ys, np.cumsum(nseg))]).astype(np.int32)
+        R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T])
+        feature, threshold = _split_segments(X, y, R, rows, nseg, counts, np.array(cand),
+                                             criterion, min_leaf)
+        got = [None if f < 0 else (int(f), float(t)) for f, t in zip(feature, threshold)]
+        assert got == want, (max_features, min_leaf)
+
+
+def _tree_arrays(tree):
+    return [tree.feature, tree.threshold, tree.left, tree.right, tree.value]
+
+
+@pytest.mark.parametrize("batch_rows", [1, 10**9])
+def test_tree_documents_do_not_depend_on_the_batch_size(monkeypatch, batch_rows):
+    rng = np.random.default_rng(14)
+    X, y = blob_data(rng, n=150, d=6, k=3)
+    X = np.round(X, 1)   # ties
+    fits = [lambda: RandomForestClassifier(n_estimators=12, seed=4, min_samples_leaf=2),
+            lambda: RandomForestClassifier(n_estimators=5, seed=5, bootstrap=False,
+                                           criterion="entropy", max_depth=4),
+            lambda: DecisionTreeClassifier(seed=6),
+            lambda: DecisionTreeClassifier(splitter="best", min_samples_leaf=1, seed=6)]
+    want = [f().fit(X, y).to_dict() for f in fits]
+    monkeypatch.setattr(tree_mod, "_BATCH_ROWS", batch_rows)
+    assert [f().fit(X, y).to_dict() for f in fits] == want
+
+
+def test_forest_tree_equals_the_tree_grown_alone():
+    rng = np.random.default_rng(15)
+    X, y = blob_data(rng, n=90, d=5, k=3)
+    forest = RandomForestClassifier(n_estimators=8, seed=21, min_samples_leaf=2).fit(X, y)
+    for t, seed in enumerate(forest.tree_seeds_):
+        gen = np.random.default_rng(int(seed))
+        root = gen.integers(0, len(X), size=len(X))
+        alone, = grow_forest(X, y, 3, [root], [gen], "gini", None, 2, 2)
+        for a, b in zip(_tree_arrays(alone), _tree_arrays(forest.trees_[t])):
+            assert np.array_equal(a, b)
+        # and the same as a tree grown on the bootstrap rows themselves
+        gen = np.random.default_rng(int(seed))
+        idx = gen.integers(0, len(X), size=len(X))
+        alone, = grow_forest(X[idx], y[idx], 3, [np.arange(len(X))], [gen], "gini", None, 2, 2)
+        assert alone.to_dict() == forest.trees_[t].to_dict()
 
 
 def _pipeline_fits(monkeypatch, task, test_fraction, pairs):

@@ -1,12 +1,15 @@
 """Property tests over small random inputs (Hypothesis)."""
 
 import json
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardiofuse.dataset import DataTable, cleveland_schema
 from cardiofuse.models import MODEL_KINDS, ProbabilisticClassifier, make_model
+from cardiofuse.preprocess import SplitSpec, random_oversample, split
 
 # small settings so that each example fits in milliseconds
 _SMALL = {
@@ -33,3 +36,55 @@ def test_document_round_trip_reproduces_scores_exactly(kind, seed, n, d, k, ties
     clone = ProbabilisticClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
     Xq = np.vstack([X, rng.normal(size=(5, d))])
     assert np.array_equal(clone.predict_proba(Xq), model.predict_proba(Xq))
+
+
+def _id_table(labels):
+    """A table whose first column holds each row's index, so rows can be traced."""
+    n, d = len(labels), len(cleveland_schema())
+    rows = np.zeros((n, d))
+    rows[:, 0] = np.arange(n)
+    return DataTable(rows, np.asarray(labels, dtype=np.int64))
+
+
+_labels = st.lists(st.integers(0, 4), min_size=2, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=_labels, test_fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1),
+       stratified=st.booleans())
+def test_split_partitions_the_table_deterministically(labels, test_fraction, seed, stratified):
+    table = _id_table(labels)
+    spec = SplitSpec(test_fraction, seed, stratified)
+    with warnings.catch_warnings():
+        # an unstratifiable table falls back to a random split with a warning
+        warnings.simplefilter("ignore", UserWarning)
+        train, test = split(table, spec)
+        again = split(table, spec)
+    ids_train, ids_test = train.rows[:, 0], test.rows[:, 0]
+    assert train.n_rows + test.n_rows == table.n_rows
+    assert train.n_rows >= 1 and test.n_rows >= 1
+    assert not set(ids_train) & set(ids_test)
+    assert sorted(np.concatenate([ids_train, ids_test])) == list(range(table.n_rows))
+    # every row keeps its label
+    ids = np.concatenate([ids_train, ids_test]).astype(int)
+    assert np.array_equal(np.concatenate([train.labels, test.labels]), table.labels[ids])
+    assert np.array_equal(again[0].rows, train.rows) and np.array_equal(again[1].rows, test.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_oversample_balances_classes_and_keeps_the_input(labels, seed):
+    table = _id_table(labels)
+    out = random_oversample(table, seed)
+    classes, counts = np.unique(table.labels, return_counts=True)
+    out_classes, out_counts = np.unique(out.labels, return_counts=True)
+    assert np.array_equal(out_classes, classes)
+    assert (out_counts == counts.max()).all()
+    # the input is a prefix; each appended copy repeats a row of its own class
+    assert np.array_equal(out.rows[:table.n_rows], table.rows)
+    assert np.array_equal(out.labels[:table.n_rows], table.labels)
+    ids = out.rows[table.n_rows:, 0].astype(int)
+    assert np.array_equal(out.labels[table.n_rows:], table.labels[ids])
+    again = random_oversample(table, seed)
+    assert np.array_equal(again.rows, out.rows) and np.array_equal(again.labels, out.labels)
