@@ -182,9 +182,12 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
             miss.append(False)
         tok = parts[-1]
         try:
-            lab = int(float(tok))  # truncates toward zero
+            lab = float(tok)
         except ValueError:
             raise ParseError(f"row {i}, label: non-numeric value {tok!r}") from None
+        if not math.isfinite(lab):
+            raise ParseError(f"row {i}, label: non-finite value {tok!r}")
+        lab = int(lab)  # truncates toward zero
         if lab not in VALID_LABELS:
             raise SchemaViolation(f"row {i}: label {lab} outside {sorted(VALID_LABELS)}")
         rows.append(vec)

@@ -3,7 +3,8 @@
 Each round picks the weighted-error-minimizing (feature, threshold,
 orientation) over all midpoints of sorted feature values, then reweights
 the samples. Scores are a softmax over the two classes' aggregated
-alpha-weighted votes.
+alpha-weighted votes, which ``vote_totals`` sums stump after stump with one
+dense add per class.
 """
 
 from __future__ import annotations
@@ -93,12 +94,17 @@ class AdaBoostClassifier(ProbabilisticClassifier):
             self.weight_history_sum_.append(float(w.sum()))
 
     def vote_totals(self, X):
-        n = X.shape[0]
-        F = np.zeros((n, 2))
+        """Sum of alpha over the stumps that vote for each class, in stump order.
+
+        Each stump adds alpha or 0.0 to every row of both class totals; adding
+        0.0 leaves a total unchanged, so this is the per-row running sum.
+        """
+        F = np.zeros((2, X.shape[0]))
         for (f, thr, lc, rc), alpha in zip(self.stumps_, self.alphas_):
-            pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
-            F[np.arange(n), pred] += alpha
-        return F
+            left = X[:, f] <= thr if f >= 0 else False   # NaN is not left
+            F[lc] += np.where(left, alpha, 0.0)
+            F[rc] += np.where(left, 0.0, alpha)
+        return F.T.copy()   # rows x classes in C order, as the scores always came
 
     def _scores(self, X):
         return softmax(self.vote_totals(X))

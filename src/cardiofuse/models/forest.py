@@ -2,9 +2,10 @@
 
 Each tree trains on a bootstrap sample of the training set's size, drawn
 from its own generator, and considers round(sqrt(d)) features per split.
-All trees grow in lockstep (``tree.grow_forest``), one segmented split scan
-per batch of nodes. Scores are the mean of the trees' leaf frequency vectors
-(soft voting); argmax of the mean is the majority vote under hard leaves.
+All trees grow in lockstep on the weighted distinct rows of their bootstraps
+(``tree.grow_forest``). Scores are the mean of the trees' leaf frequency
+vectors (soft voting) from one descent of all trees (``tree.score_forest``);
+argmax of the mean is the majority vote under hard leaves.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ProbabilisticClassifier
-from .tree import Tree, grow_forest
+from .tree import Tree, grow_forest, score_forest
 
 
 class RandomForestClassifier(ProbabilisticClassifier):
@@ -48,10 +49,7 @@ class RandomForestClassifier(ProbabilisticClassifier):
                                   self.max_depth, m, self.min_samples_leaf)
 
     def _scores(self, X):
-        total = np.zeros((X.shape[0], self.class_count_))
-        for tree in self.trees_:
-            total += tree.predict(X)
-        return total / len(self.trees_)
+        return score_forest(self.trees_, X)
 
     def _params_to_dict(self):
         return {**{p: getattr(self, p) for p in self._PARAMS},

@@ -224,6 +224,34 @@ def test_adaboost_scores_are_softmax_votes():
     assert np.allclose(m.predict_proba(X), expect)
 
 
+def _vote_totals_loop(model, X):
+    """The per-stump fancy-index add that vote_totals replaced, kept as its reference."""
+    n = X.shape[0]
+    F = np.zeros((n, 2))
+    for (f, thr, lc, rc), alpha in zip(model.stumps_, model.alphas_):
+        pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
+        F[np.arange(n), pred] += alpha
+    return F
+
+
+def test_vote_totals_equal_the_per_stump_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(120, 4))
+    y = (X[:, 0] + 0.8 * rng.normal(size=120) > 0).astype(int)
+    models = [AdaBoostClassifier(n_estimators=150, learning_rate=0.05).fit(X, y),
+              AdaBoostClassifier(n_estimators=3).fit(X, y),
+              AdaBoostClassifier().fit(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                                                 [1.0, 1.0]]), np.array([0, 1, 1, 0]))]
+    assert models[0].alphas_ and models[2].stumps_[0][0] == -1   # a degenerate stump too
+    Xq = rng.normal(size=(3000, 4))
+    Xq[::7, 0] = np.nan   # NaN fails x <= threshold and votes right
+    for m in models:
+        d = 2 if m is models[2] else 4
+        for rows in (Xq[:, :d], Xq[:1, :d], Xq[7:8, :d], Xq[:0, :d]):
+            assert np.array_equal(m.vote_totals(rows), _vote_totals_loop(m, rows))
+            assert m.vote_totals(rows).flags.c_contiguous
+
+
 def test_all_models_honor_probability_contract():
     rng = np.random.default_rng(8)
     X = rng.random((60, 5))

@@ -6,8 +6,9 @@ import pytest
 
 from cardiofuse.models import DecisionTreeClassifier, RandomForestClassifier
 from cardiofuse.models import tree as tree_mod
-from cardiofuse.models.tree import (Tree, _impurity_rows, _split_segments, grow_forest,
-                                    split_scan)
+from cardiofuse.models.tree import (Tree, _candidates, _impurity_rows, _split_segments,
+                                    grow_forest, score_forest, split_scan)
+
 
 def blob_data(rng, n=120, d=5, k=2):
     X = rng.normal(size=(n, d))
@@ -129,6 +130,15 @@ def test_forest_of_one_without_bootstrap_equals_tree():
     assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
 
 
+def _walk(tree, x):
+    """Leaf vector of one row, node by node; NaN fails x <= threshold and goes right."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
 def test_forest_score_equals_vote_fraction_under_hard_leaves():
     rng = np.random.default_rng(5)
     X, y = blob_data(rng, n=80, d=4)
@@ -137,10 +147,33 @@ def test_forest_score_equals_vote_fraction_under_hard_leaves():
     # oracle: count the per-tree votes; fully grown leaves are pure
     votes = np.zeros_like(scores)
     for tree in forest.trees_:
-        buf = tree.predict(X)
+        buf = np.array([_walk(tree, x) for x in X])
         assert np.isin(buf, (0.0, 1.0)).all()  # hard leaves
         votes[np.arange(len(X)), buf.argmax(axis=1)] += 1
     assert np.allclose(scores, votes / 25)
+
+
+@pytest.mark.parametrize("batch_rows", [1, 7, 8192])
+def test_flat_scoring_equals_a_walk_of_each_tree(monkeypatch, batch_rows):
+    rng = np.random.default_rng(16)
+    X, y = blob_data(rng, n=90, d=4, k=3)
+    models = [RandomForestClassifier(n_estimators=9, seed=3, min_samples_leaf=2).fit(X, y),
+              RandomForestClassifier(n_estimators=1, seed=4).fit(X, y),
+              DecisionTreeClassifier(seed=5).fit(X, y)]
+    Xq = np.vstack([X[:20], rng.normal(size=(20, 4))])
+    Xq[::3, 1] = np.nan   # NaN goes right at every split on that feature
+    Xq[5] = np.nan
+    monkeypatch.setattr(tree_mod, "_BATCH_ROWS", batch_rows)
+    for model in models:
+        trees = getattr(model, "trees_", None) or [model.tree_]
+        for rows in (Xq, Xq[7:8], Xq[:0]):
+            want = np.zeros((len(rows), 3))
+            for tree in trees:   # summed tree after tree, as a running total
+                want += np.array([_walk(tree, x) for x in rows]).reshape(-1, 3)
+            got = score_forest(trees, rows)
+            assert got.shape == (len(rows), 3)
+            assert np.array_equal(got, want / len(trees))
+            assert np.array_equal(model.predict_proba(rows), got)
 
 
 def test_forest_unanimous_vote_scores_one():
@@ -222,10 +255,9 @@ def test_split_scan_matches_a_per_column_oracle(case):
         assert not ok[:, 1].any()
 
 
-def _best_split_oracle(X, y, k, criterion, max_features, min_leaf, seed):
+def _best_split_oracle(X, y, k, criterion, candidates, min_leaf):
     """The per-feature loop: candidates in draw order, cuts ascending, strict < across all."""
-    n, d = X.shape
-    candidates = np.random.default_rng(seed).choice(d, size=min(max_features, d), replace=False)
+    n = len(X)
     counts = np.bincount(y, minlength=k).astype(float)
     best = None
     for f in candidates:
@@ -239,34 +271,87 @@ def _best_split_oracle(X, y, k, criterion, max_features, min_leaf, seed):
     return None if best is None else best[1:]
 
 
+def _segments(Xs, ys, ws, cand, criterion, min_leaf, rng, seeds=None):
+    """``_split_segments`` on trial nodes given as (rows, labels, weights) each."""
+    k = 3
+    X, y, w = np.vstack(Xs), np.concatenate(ys), np.concatenate(ws).astype(np.int32)
+    nseg = np.array([len(v) for v in ys])
+    counts = np.array([np.bincount(v, weights=u, minlength=k) for v, u in zip(ys, ws)],
+                      dtype=np.int64)
+    # the rows of each node, shuffled, so that segments are not in table order
+    rows = np.concatenate([rng.permutation(np.arange(a - len(v), a))
+                           for v, a in zip(ys, np.cumsum(nseg))]).astype(np.int32)
+    R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T])
+    rngs = None if seeds is None else [np.random.default_rng(s) for s in seeds]
+    feature, threshold = _split_segments(X, y, R, rows, w[rows], nseg, counts, np.array(cand),
+                                         criterion, min_leaf, rngs)
+    return [None if f < 0 else (int(f), float(t)) for f, t in zip(feature, threshold)]
+
+
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
 def test_best_split_matches_the_per_feature_loop(criterion):
-    # all 40 trial nodes go through one segmented scan, so the segment
-    # boundaries, the duplicated-column tie and the leaf mask meet in one call
+    # all 41 trial nodes go through one segmented scan, so the segment
+    # boundaries, the duplicated-column tie and the leaf mask meet in one call;
+    # each row stands for 1-3 copies, and the loop sees the copies themselves
     k = 3
-    for max_features, min_leaf in [(1, 1), (2, 3), (3, 2), (4, 1), (4, 3), (2, 0)]:
+    for max_features, min_leaf in [(1, 1), (2, 3), (3, 2), (4, 1), (4, 3), (2, 0), (3, 5)]:
         rng = np.random.default_rng(12)
-        Xs, ys, cand, want = [], [], [], []
+        Xs, ys, ws, cand, want = [], [], [], [], []
         for trial in range(40):
             n = int(rng.integers(2, 40))
             X = rng.integers(0, 4, size=(n, 3)).astype(float)
             X = np.hstack([X, X[:, :1]])   # a duplicated column ties with its original
             y = rng.integers(0, int(rng.integers(2, k + 1)), n)
+            w = rng.integers(1, 4, n) if trial % 4 else np.ones(n, dtype=np.int64)
             Xs.append(X)
             ys.append(y)
+            ws.append(w)
             cand.append(np.random.default_rng(trial).choice(4, size=max_features, replace=False))
-            want.append(_best_split_oracle(X, y, k, criterion, max_features, min_leaf, trial))
-        X, y = np.vstack(Xs), np.concatenate(ys)
-        nseg = np.array([len(v) for v in ys])
-        counts = np.array([np.bincount(v, minlength=k) for v in ys])
-        # the rows of each node, shuffled, so that segments are not in table order
-        rows = np.concatenate([rng.permutation(np.arange(a - len(v), a))
-                               for v, a in zip(ys, np.cumsum(nseg))]).astype(np.int32)
-        R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T])
-        feature, threshold = _split_segments(X, y, R, rows, nseg, counts, np.array(cand),
-                                             criterion, min_leaf)
-        got = [None if f < 0 else (int(f), float(t)) for f, t in zip(feature, threshold)]
+        # first, a node where no cut gains and a constant column comes first: with
+        # min_leaf 0 only the segment's end could "cut" it, which is no cut
+        Xs.insert(0, np.array([[1, 0, 2, 1], [1, 0, 2, 1], [1, 1, 2, 1], [1, 1, 2, 1]], float))
+        ys.insert(0, np.array([0, 1, 0, 1]))
+        ws.insert(0, np.ones(4, dtype=np.int64))
+        cand.insert(0, np.arange(max_features))
+        for X, y, w, c in zip(Xs, ys, ws, cand):
+            want.append(_best_split_oracle(np.repeat(X, w, axis=0), np.repeat(y, w), k,
+                                           criterion, c, min_leaf))
+        got = _segments(Xs, ys, ws, cand, criterion, min_leaf, rng)
         assert got == want, (max_features, min_leaf)
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_random_split_of_weighted_rows_equals_the_split_of_their_copies(criterion):
+    rng = np.random.default_rng(17)
+    for min_leaf in (0, 1, 3, 6):
+        Xs, ys, ws, cand = [], [], [], []
+        for trial in range(30):
+            n = int(rng.integers(2, 25))
+            Xs.append(rng.integers(0, 5, size=(n, 4)).astype(float))
+            ys.append(rng.integers(0, 3, n))
+            ws.append(rng.integers(1, 4, n))
+            cand.append(rng.choice(4, size=3, replace=False))
+        copies = [np.repeat(v, w, axis=0) for v, w in zip(Xs, ws)]
+        labels = [np.repeat(v, w) for v, w in zip(ys, ws)]
+        ones = [np.ones(len(v), dtype=np.int64) for v in labels]
+        seeds = range(100, 130)
+        got = _segments(Xs, ys, ws, cand, criterion, min_leaf, rng, seeds)
+        assert got == _segments(copies, labels, ones, cand, criterion, min_leaf, rng, seeds)
+        assert any(g is not None for g in got)
+
+
+@pytest.mark.parametrize("d,m", [(1, 0), (1, 1), (2, 1), (2, 2), (5, 0), (5, 1), (5, 3),
+                                 (5, 5), (13, 4), (13, 13), (40, 7)])
+def test_candidates_equal_successive_choice_calls(d, m):
+    # the equivalence rests on how the installed numpy draws choice(replace=False)
+    for count in (0, 1, 9):
+        a, b = np.random.default_rng(d * 100 + m), np.random.default_rng(d * 100 + m)
+        want = [a.choice(d, size=m, replace=False) for _ in range(count)]
+        got = _candidates(b, d, m, count)
+        assert got.shape == (count, m)
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(count, m))
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random() == b.random()
 
 
 def _tree_arrays(tree):

@@ -4,10 +4,11 @@ import json
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cardiofuse.dataset import DataTable, cleveland_schema
+from cardiofuse.dataset import (DataTable, ParseError, SchemaViolation, bundled_data_path,
+                                cleveland_schema, load_csv)
 from cardiofuse.models import MODEL_KINDS, ProbabilisticClassifier, make_model
 from cardiofuse.preprocess import SplitSpec, random_oversample, split
 
@@ -88,3 +89,49 @@ def test_oversample_balances_classes_and_keeps_the_input(labels, seed):
     assert np.array_equal(out.labels[table.n_rows:], table.labels[ids])
     again = random_oversample(table, seed)
     assert np.array_equal(again.rows, out.rows) and np.array_equal(again.labels, out.labels)
+
+
+class _Text:
+    """A file stand-in: ``load_csv`` reads anything with ``read_text``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def read_text(self):
+        return self.text
+
+
+_LINES = bundled_data_path().read_text().splitlines()[:6]
+_TOKENS = ["", " ", "?", "abc", "1,2", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "0x1",
+           "-1", "0", "0.5", "1", "2.0", "3", "4", "5", "6", "7", "9", "4.9", "-0.0", " 2 "]
+_mutation = st.one_of(
+    st.tuples(st.just("token"), st.integers(0, 13), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("token"), st.just(13), st.sampled_from(_TOKENS)),   # the label
+    st.tuples(st.just("drop"), st.integers(0, 13), st.none()),
+    st.tuples(st.just("insert"), st.integers(0, 14), st.sampled_from(_TOKENS)),
+    st.tuples(st.just("line"), st.none(), st.sampled_from(["", "   ", "\t", ",", "?"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, len(_LINES) - 1), _mutation), max_size=3),
+       keep=st.integers(1, len(_LINES)))
+@example(edits=[(0, ("token", 13, "1e400"))], keep=1)   # an infinite label
+def test_loader_accepts_a_mutated_file_or_raises_a_data_error(edits, keep):
+    lines = [line.split(",") for line in _LINES[:keep]]
+    for row, (kind, j, token) in edits:
+        fields = lines[row % keep]
+        if kind == "token" and j < len(fields):
+            fields[j] = token   # the label is field 13; categories are among 1-12
+        elif kind == "drop" and j < len(fields):
+            del fields[j]
+        elif kind == "insert":
+            fields.insert(j, token)
+        elif kind == "line":
+            fields[:] = [token]
+    try:
+        table = load_csv(_Text("\n".join(",".join(f) for f in lines)))
+    except (ParseError, SchemaViolation):
+        return
+    assert 1 <= table.n_rows <= keep and table.rows.shape == (table.n_rows, 13)
+    assert np.isfinite(table.rows[~table.missing_mask]).all()
