@@ -2,9 +2,10 @@
 
 Each round picks the weighted-error-minimizing (feature, threshold,
 orientation) over all midpoints of sorted feature values, then reweights
-the samples. Scores are a softmax over the two classes' aggregated
-alpha-weighted votes, which ``vote_totals`` sums stump after stump with one
-dense add per class.
+the samples. The features are sorted once per fit (``split_scan``); a round
+only sums its weighted class columns in that order. Scores are a softmax
+over the two classes' aggregated alpha-weighted votes, which ``vote_totals``
+sums stump after stump with one dense add per class.
 """
 
 from __future__ import annotations
@@ -12,17 +13,27 @@ from __future__ import annotations
 import numpy as np
 
 from .base import ModelError, ProbabilisticClassifier, one_hot, softmax
-from .tree import split_scan
 
 ALPHA_CAP_LOG = 0.5 * np.log(1e10)
 
 
-def _best_stump(X, y, w):
+def split_scan(X: np.ndarray):
+    """Stable ``order`` of every column of ``X``, the sorted columns ``xs`` and the cuts ``ok``.
+
+    ``ok[i, j]`` marks a cut between distinct values: it keeps the rows
+    ``order[:i + 1, j]`` left and thresholds at (xs[i, j] + xs[i + 1, j]) / 2.
+    """
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = X[order, np.arange(X.shape[1])]
+    return order, xs, xs[1:] > xs[:-1]
+
+
+def _best_stump(scan, y, w):
     """Minimize the weighted error over features, midpoints and orientations.
 
-    Returns (feature, threshold, left_class, right_class, error). Left means
-    x <= threshold. Also considers the degenerate no-split stump that
-    predicts the weighted-majority class everywhere.
+    ``scan`` is ``split_scan(X)``. Returns (feature, threshold, left_class,
+    right_class, error). Left means x <= threshold. Also considers the
+    degenerate no-split stump that predicts the weighted-majority class everywhere.
     """
     w1 = float(w[y == 1].sum())
     w0 = float(w.sum()) - w1
@@ -32,7 +43,8 @@ def _best_stump(X, y, w):
     else:
         best = (-1, -np.inf, 0, 0, w1)
     # per-row weight in its class column, summed left of every cut of every feature
-    xs, left, ok = split_scan(X, one_hot(y, 2) * w[:, None])
+    order, xs, ok = scan
+    left = np.cumsum((one_hot(y, 2) * w[:, None])[order], axis=0)[:-1]
     left0, left1 = left[..., 0], left[..., 1]   # class weights left of the threshold
     # orientation A: left -> 0, right -> 1; B: left -> 1, right -> 0;
     # errors are misweighted mass, searched feature-major, then A before B
@@ -69,8 +81,9 @@ class AdaBoostClassifier(ProbabilisticClassifier):
         w = np.full(n, 1.0 / n)
         self.stumps_, self.alphas_ = [], []
         self.weight_history_sum_ = []
+        scan = split_scan(X)   # the weights change each round, the order never
         for _ in range(self.n_estimators):
-            f, thr, lc, rc, eps = _best_stump(X, y, w)
+            f, thr, lc, rc, eps = _best_stump(scan, y, w)
             if eps >= 0.5:
                 if not self.stumps_:
                     # the first stump, fitted on uniform weights, is already at

@@ -2,10 +2,11 @@
 
 Each tree trains on a bootstrap sample of the training set's size, drawn
 from its own generator, and considers round(sqrt(d)) features per split.
-All trees grow in lockstep on the weighted distinct rows of their bootstraps
-(``tree.grow_forest``). Scores are the mean of the trees' leaf frequency
-vectors (soft voting) from one descent of all trees (``tree.score_forest``);
-argmax of the mean is the majority vote under hard leaves.
+All trees grow in lockstep on the weighted distinct rows of their bootstraps,
+from one flat row buffer split in place (``tree.grow_forest``). Scores are
+the mean of the trees' leaf frequency vectors (soft voting) from one descent
+of all trees (``tree.score_forest``); argmax of the mean is the majority
+vote under hard leaves.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Decision trees with gini/entropy impurity and two splitters, grown in lockstep.
 
 ``grow_forest`` grows every tree of a forest at once (DT is a one-tree forest)
-on weighted distinct rows: each step takes the next preorder node of every
-tree, and one segmented scan serves a batch of them. The "best" splitter scans
-every midpoint between distinct values of the candidate features; the "random"
+on weighted distinct rows held in one flat buffer: a node is a slice of it, a
+split partitions that slice in place, and each tree's depth-first stack is a
+column of one array, so a step handles the next preorder node of every tree with
+array operations and one segmented scan. The "best" splitter scans every
+midpoint between distinct values of the candidate features; the "random"
 splitter draws one uniform threshold per candidate feature. Leaves store class
 frequencies. ``score_forest`` scores all trees at once from one stacked table.
 """
@@ -15,30 +17,14 @@ import numpy as np
 from .base import ProbabilisticClassifier
 
 
-def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
-    # rows of class counts -> impurity per row
-    n = counts.sum(axis=1, keepdims=True)
-    n = np.where(n == 0, 1.0, n)
-    p = counts / n
+def _impurity_rows(counts: np.ndarray, n: np.ndarray, criterion: str) -> np.ndarray:
+    # rows of class counts and their sums -> impurity per row
+    p = counts / np.maximum(n, 1)[:, None]
     if criterion == "gini":
         return 1.0 - (p * p).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
     return -(p * logp).sum(axis=1)
-
-
-def split_scan(X: np.ndarray, Y: np.ndarray):
-    """Stable sort of every column of ``X`` with running sums of the per-row matrix ``Y``.
-
-    Returns the sorted columns ``xs`` (n x m); the sums of ``Y`` over the rows
-    left of each cut, ``left`` ((n-1) x m x k), where cut i keeps i + 1 rows
-    on its left; and ``ok`` ((n-1) x m), which marks the cuts between
-    distinct values. Cut i of column j thresholds at (xs[i, j] + xs[i+1, j]) / 2.
-    """
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = X[order, np.arange(X.shape[1])]
-    left = np.cumsum(Y[order], axis=0)[:-1]
-    return xs, left, xs[1:] > xs[:-1]
 
 
 class Tree:
@@ -94,22 +80,25 @@ class Tree:
 _BATCH_ROWS = 8192
 
 
-def _candidates(rng, d, m, count):
-    """``count`` successive ``rng.choice(d, m, replace=False)`` draws from one ``integers`` call.
+def _choice_draws(rng, d, m, count):
+    """The integers that ``count`` successive ``rng.choice(d, m, replace=False)`` calls read.
 
     ``choice`` takes Floyd's sample with one integer below j + 1 for each j in
-    d-m .. d-1 (j itself where that draw was taken), then shuffles it with one
-    below i + 1 for each i in m-1 .. 1. ``integers`` with those bounds reads the
-    stream alike, so rows and generator state match; a test pins this on the
-    installed numpy.
+    d-m .. d-1, then shuffles it with one below i + 1 for each i in m-1 .. 1.
+    One ``integers`` call with those bounds reads the stream alike, so the
+    generator state matches; a test pins this on the installed numpy.
     """
     high = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
-    draw = rng.integers(0, np.tile(high, count)).reshape(count, max(2 * m - 1, 0))
-    out = np.empty((count, m), dtype=np.int64)
-    for t in range(m):
+    return rng.integers(0, np.tile(high, count)).reshape(count, max(2 * m - 1, 0))
+
+
+def _floyd(draw, d, m):
+    """The ``choice(d, m, replace=False)`` sample of each row of ``_choice_draws``."""
+    out = np.empty((len(draw), m), dtype=draw.dtype)
+    for t in range(m):   # Floyd's sampler: a draw already taken becomes d - m + t
         taken = (out[:, :t] == draw[:, t:t + 1]).any(axis=1)
         out[:, t] = np.where(taken, d - m + t, draw[:, t])
-    every = np.arange(count)
+    every = np.arange(len(draw))
     for i, j in zip(range(m - 1, 0, -1), draw[:, m:].T):   # swap column i with column j
         out[every, j], out[:, i] = out[:, i].copy(), out[every, j]
     return out
@@ -122,10 +111,11 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
     standing for ``wts[i]`` copies, with their class ``counts`` (of copies) and
     candidates ``cand`` in draw order; ``R`` ranks each column of ``X``. The best
     splitter (no ``rngs``) sorts every candidate column by (segment, value) and
-    takes the class counts left of each cut as a segmented prefix sum: one
-    ``cumsum`` less each segment's starting prefix, exact on integer counts. The
-    random splitter draws one uniform threshold per non-constant candidate from
-    each node's generator. Ties go to the earlier candidate, then the lower threshold.
+    takes the class counts left of each cut as a segmented prefix sum: each
+    segment's first row less the previous segment's counts, then one ``cumsum``,
+    exact on integer counts. The random splitter draws one uniform threshold per
+    non-constant candidate from each node's generator. Ties go to the earlier
+    candidate, then the lower threshold.
     """
     S, N, starts = len(nseg), len(rows), np.cumsum(nseg) - nseg
     seg, size = np.repeat(np.arange(S), nseg), counts.sum(axis=1)
@@ -135,12 +125,12 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
         order = np.argsort(key, axis=0)   # tied values may come in any order
         key = np.take_along_axis(key, order, axis=0)
         left = onehot[order]
+        left[starts[1:]] -= counts[:-1, None, :].astype(np.int32)
         np.cumsum(left, axis=0, out=left)
         ok = np.diff(key, axis=0, append=key[-1:]) > 0   # a larger value follows
         ok[starts + nseg - 1] = False   # ... in the same segment
         p, j = np.nonzero(ok)   # grouped by segment, then by cut
-        s = seg[p]
-        L = left[p, j] - np.where((starts[s] > 0)[:, None], left[starts[s] - 1, j], 0)
+        s, L = seg[p], left[p, j]
         nl = L.sum(axis=1)
         keep = (nl >= min_leaf) & (size[s] - nl >= min_leaf)
         s, L, nl, rank = s[keep], L[keep], nl[keep], (j * N + p)[keep]
@@ -161,8 +151,8 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
     feature, threshold = np.full(S, -1), np.zeros(S)
     if len(s):
         n = size[s]
-        cost = (nl * _impurity_rows(L, criterion)
-                + (n - nl) * _impurity_rows(counts[s] - L, criterion)) / n
+        cost = (nl * _impurity_rows(L, nl, criterion)
+                + (n - nl) * _impurity_rows(counts[s] - L, n - nl, criterion)) / n
         # per segment: the least cost, then the least rank among its minima
         first = np.flatnonzero(np.diff(s, prepend=-1))
         best = np.repeat(np.minimum.reduceat(cost, first), np.diff(first, append=len(s)))
@@ -184,77 +174,92 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
     """Grow one tree per (root rows, generator) pair, all trees in lockstep.
 
     Identical (row, label) pairs take the same branch, so a tree grows on the
-    distinct pairs of its root rows, weighted by their counts there. Each step
-    pops the next preorder node of every unfinished tree, in batches of about
-    ``_BATCH_ROWS`` distinct rows with one weighted ``bincount`` each. A node
-    splits if it is above ``max_depth``, has two classes, two ``min_leaf``s of
-    weight and a valid cut. Its candidates are its tree's next ``rng.choice``,
-    drawn for all the tree's nodes after its root rows (best splitter) or node
-    by node before its thresholds (random), so each tree reads its stream as if
-    grown alone. A batch shares one ``_split_segments`` call and one stable
-    partition into children; node records are laid out once at the end.
+    distinct pairs of its root rows, weighted by their counts there. These sit
+    in one flat buffer, all trees' roots end to end with the weights beside
+    them; a node is a slice of it. Each tree's depth-first stack is a column
+    of one array. A step pops the next preorder node of every unfinished tree
+    with one gather, then takes them in batches of about ``_BATCH_ROWS`` rows:
+    one weighted ``bincount``, one ``_split_segments`` call, one stable
+    partition of every split node's slice in place, left rows first, and one
+    push of all children. A node splits if it is above ``max_depth``, has two
+    classes, two ``min_leaf``s of weight and a valid cut. Its candidates are
+    its tree's next ``rng.choice``: drawn for all the tree's nodes after its
+    root rows (best splitter), or node by node before its thresholds (random),
+    so each tree reads its stream as if grown alone. Node records are laid out
+    once at the end.
     """
     d, m = X.shape[1], min(max_features, X.shape[1])
     max_depth = np.inf if max_depth is None else max_depth
     Xy, group = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
     X, y = Xy[:, :-1], Xy[:, -1].astype(np.int64)
     R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T])   # dense ranks
-    W, stacks, pools = [], [], []
+    buf, wbuf, draws = [], [], []
     for r, rng in zip(roots, rngs):
-        W.append(np.bincount(group[r], minlength=len(X)))
-        rows = np.flatnonzero(W[-1]).astype(np.int32)
-        stacks.append([(rows, 0, -1)])   # (rows, depth, parent)
+        w = np.bincount(group[r], minlength=len(X))
+        buf.append(np.flatnonzero(w).astype(np.int32))
+        wbuf.append(w[buf[-1]].astype(np.int32))
         # best splitter: draw for all nodes now (a split leaves rows both sides: < 2 x rows nodes)
-        count = 2 * len(rows) if splitter == "best" else 0
-        pools.append(_candidates(rng, d, m, count).astype(np.min_scalar_type(d)))
-    W = np.array(W, dtype=np.int32)   # each tree's weight of each distinct row
-    nxt = np.cumsum([0] + [len(p) for p in pools])[:-1]   # each tree's next draw in the pool
-    pools = np.concatenate(pools)
-    size = np.zeros(len(stacks), dtype=np.int64)   # nodes laid out so far, per tree
+        count = 2 * len(buf[-1]) if splitter == "best" else 0
+        draws.append(_choice_draws(rng, d, m, count).astype(np.min_scalar_type(d)))
+    nxt = np.cumsum([0] + [len(p) for p in draws])[:-1]   # each tree's next draw in the pool
+    pools, nroot = _floyd(np.concatenate(draws), d, m), np.array([len(b) for b in buf])
+    del draws
+    end, buf, wbuf = np.cumsum(nroot), np.concatenate(buf), np.concatenate(wbuf)
+    # stack level x tree: (lo, hi, depth, parent if a right child); a preorder stack
+    # holds at most depth + 2 entries, and levels never pushed to are never touched
+    stack = np.empty((nroot.max() + 2, len(nroot), 4), dtype=np.int32)
+    stack[0] = np.column_stack([end - nroot, end, np.zeros_like(end), np.full_like(end, -1)])
+    sp, size = np.ones(len(nroot), dtype=np.int64), np.zeros(len(nroot), dtype=np.int64)
     # records per batch: tree, node, parent if a right child, feature, leaf counts, threshold
     fields = [[] for _ in range(6)]
-    live = np.arange(len(stacks))
+    live = np.arange(len(nroot))
     while len(live):
-        items = [stacks[t].pop() for t in live]
-        end = np.cumsum([len(rows) for rows, _, _ in items])
+        sp[live] -= 1
+        top = stack[sp[live], live]
+        last = np.cumsum(top[:, 1] - top[:, 0])
         # a batch: the nodes whose last rows fall in one window of _BATCH_ROWS rows
-        cuts = [0, *(np.flatnonzero(np.diff((end - 1) // _BATCH_ROWS)) + 1), len(items)]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            batch, trees = items[lo:hi], live[lo:hi]
-            nseg = np.array([len(r) for r, _, _ in batch])
-            rows = np.concatenate([r for r, _, _ in batch])
-            depth = np.array([dep for _, dep, _ in batch])
-            seg = np.repeat(np.arange(len(batch)), nseg)
-            wts = W[trees[seg], rows]
-            counts = np.bincount(seg * k + y[rows], wts, len(batch) * k).reshape(-1, k)
-            ready = ((depth < max_depth) & (counts.sum(axis=1) >= 2 * min_leaf)
-                     & ((counts > 0).sum(axis=1) > 1))
-            cand = pools[nxt[trees[ready]]] if splitter == "best" else np.array(
-                [_candidates(rngs[t], d, m, 1)[0] for t in trees[ready]]).reshape(ready.sum(), m)
-            nxt[trees[ready]] += 1
-            feature, threshold = np.full(len(batch), -1), np.zeros(len(batch))
-            if ready.any():
-                feature[ready], threshold[ready] = _split_segments(
-                    X, y, R, rows[ready[seg]], wts[ready[seg]], nseg[ready], counts[ready],
-                    cand, criterion, min_leaf,
-                    [rngs[t] for t in trees[ready]] if splitter == "random" else None)
-            # one stable partition: each node's left rows, then its right rows
-            go_right = ~(X[rows, feature[seg]] <= threshold[seg])
-            part = rows[np.argsort(2 * seg + go_right, kind="stable")]
+        cuts = [0, *(np.flatnonzero(np.diff((last - 1) // _BATCH_ROWS)) + 1), len(live)]
+        for a, b in zip(cuts, cuts[1:]):
+            trees, (lo, hi, depth, parent) = live[a:b], top[a:b].T
+            nseg = hi - lo
             start = np.cumsum(nseg) - nseg
-            mid = start + np.bincount(seg[~go_right], minlength=len(batch))
-            for s in np.flatnonzero(feature >= 0):   # copies, so that no child pins ``part``
-                t, e = trees[s], start[s] + nseg[s]
-                stacks[t] += [(part[mid[s]:e].copy(), depth[s] + 1, size[t]),
-                              (part[start[s]:mid[s]].copy(), depth[s] + 1, -1)]
-            parents = [par for _, _, par in batch]
-            record = [np.asarray(f, dtype=np.int32)
-                      for f in (trees, size[trees], parents, feature, counts[feature < 0])]
+            seg = np.repeat(np.arange(len(trees), dtype=np.int32), nseg)
+            rows = np.arange(len(seg)) + (lo - start)[seg]   # places in the buffer, then rows
+            rows, wts = buf[rows], wbuf[rows]
+            counts = np.bincount(seg * k + y[rows], wts, len(trees) * k).reshape(-1, k)
+            ok = ((depth < max_depth) & (counts.sum(axis=1) >= 2 * min_leaf)
+                  & ((counts > 0).sum(axis=1) > 1))
+            feature, threshold = np.full(len(trees), -1), np.zeros(len(trees))
+            if ok.any():
+                cand = pools[nxt[trees[ok]]] if splitter == "best" else np.array(
+                    [rngs[t].choice(d, m, replace=False) for t in trees[ok]])
+                nxt[trees[ok]] += 1
+                feature[ok], threshold[ok] = _split_segments(
+                    X, y, R, rows[ok[seg]], wts[ok[seg]], nseg[ok], counts[ok], cand, criterion,
+                    min_leaf, [rngs[t] for t in trees[ok]] if splitter == "random" else None)
+            # a stable partition of each split node's slice, left rows first, in place
+            split = feature >= 0
+            go = split[seg] & ~(X[rows, feature[seg]] <= threshold[seg])
+            past = np.concatenate([[0], np.cumsum(go)])   # right rows before each row
+            before = past[:-1] - past[start][seg]   # ... of its node
+            nleft = nseg - (past[start + nseg] - past[start])
+            at = lo[seg] + np.where(go, nleft[seg] + before,
+                                    np.arange(len(seg)) - start[seg] - before)
+            buf[at], wbuf[at] = rows, wts
+            # push the right child, then the left, of every split node
+            s, t = np.flatnonzero(split), trees[split]
+            mid, up = lo[s] + nleft[s], depth[s] + 1
+            kids = np.array([mid, hi[s], up, size[t], lo[s], mid, up, np.full_like(t, -1)])
+            stack[sp[t][:, None] + [0, 1], t[:, None]] = kids.T.reshape(-1, 2, 4)
+            sp[t] += 2
+            # copies, so that no record pins the step's ``top``
+            record = [np.array(f, dtype=np.int32)
+                      for f in (trees, size[trees], parent, feature, counts[~split])]
             for field, r in zip(fields, record + [threshold]):
                 field.append(r)
         size[live] += 1
-        live = live[[len(stacks[t]) > 0 for t in live]]
-    del W, pools   # before the layout, which holds the most memory
+        live = live[sp[live] > 0]
+    del buf, wbuf, pools, stack   # before the layout, which holds the most memory
     # lay the trees out in preorder; popping a field drops its records before it is permuted
     base = np.cumsum(size) - size
     tree, node, parent = (np.concatenate(fields.pop(0)) for _ in range(3))

@@ -3,7 +3,7 @@ import pytest
 
 from cardiofuse.models import (AdaBoostClassifier, MLPClassifier, ModelError,
                                ProbabilisticClassifier)
-from cardiofuse.models.adaboost import _best_stump
+from cardiofuse.models.adaboost import _best_stump, split_scan
 from cardiofuse.models.base import one_hot
 
 
@@ -178,7 +178,7 @@ def test_best_stump_matches_brute_force_and_its_tie_order():
             X = np.hstack([X, X])   # every stump ties with its duplicate feature
         y = rng.integers(0, 2, n)
         w = rng.integers(1, 5, n) / 64.0   # dyadic weights: every sum is exact
-        got, want = _best_stump(X, y, w), _stump_oracle(X, y, w)
+        got, want = _best_stump(split_scan(X), y, w), _stump_oracle(X, y, w)
         assert got == tuple(float(v) if i in (1, 4) else int(v) for i, v in enumerate(want))
 
 
@@ -190,7 +190,7 @@ def test_best_stump_near_brute_force_on_real_valued_weights():
         y = rng.integers(0, 2, n)
         w = rng.random(n)
         w /= w.sum()
-        f, thr, lc, rc, err = _best_stump(X, y, w)
+        f, thr, lc, rc, err = _best_stump(split_scan(X), y, w)
         assert err == pytest.approx(_stump_oracle(X, y, w)[4], abs=1e-12)
         pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
         assert err == pytest.approx(w[pred != y].sum(), abs=1e-12)
@@ -201,7 +201,7 @@ def test_adaboost_at_chance_keeps_the_uniform_weight_stump():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
     m = AdaBoostClassifier(n_estimators=10).fit(X, y)
-    assert m.stumps_ == [_best_stump(X, y, np.full(4, 0.25))[:4]]
+    assert m.stumps_ == [_best_stump(split_scan(X), y, np.full(4, 0.25))[:4]]
     assert m.alphas_ == [0.0] and m.weight_history_sum_ == []
     assert (m.predict_proba(X) == 0.5).all()
 

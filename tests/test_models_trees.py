@@ -6,8 +6,9 @@ import pytest
 
 from cardiofuse.models import DecisionTreeClassifier, RandomForestClassifier
 from cardiofuse.models import tree as tree_mod
-from cardiofuse.models.tree import (Tree, _candidates, _impurity_rows, _split_segments,
-                                    grow_forest, score_forest, split_scan)
+from cardiofuse.models.adaboost import split_scan
+from cardiofuse.models.tree import (Tree, _choice_draws, _floyd, _impurity_rows, _split_segments,
+                                    grow_forest, score_forest)
 
 
 def blob_data(rng, n=120, d=5, k=2):
@@ -20,16 +21,17 @@ def blob_data(rng, n=120, d=5, k=2):
 
 def test_gini_values():
     # direct substitution: 1 - (0.5^2 + 0.5^2)
-    imp = _impurity_rows(np.array([[5.0, 5.0], [10.0, 0.0]]), "gini")
+    imp = _impurity_rows(np.array([[5.0, 5.0], [10.0, 0.0]]), np.array([10, 10]), "gini")
     assert imp[0] == pytest.approx(0.5)
     assert imp[1] == 0.0
 
 
 def test_entropy_values():
-    imp = _impurity_rows(np.array([[5.0, 5.0], [7.0, 0.0]]), "entropy")
+    imp = _impurity_rows(np.array([[5.0, 5.0], [7.0, 0.0]]), np.array([10, 7]), "entropy")
     assert imp[0] == pytest.approx(1.0)
     assert imp[1] == 0.0
-    assert _impurity_rows(np.array([[1.0, 1.0, 1.0, 1.0]]), "entropy")[0] == pytest.approx(2.0)
+    imp = _impurity_rows(np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([4]), "entropy")
+    assert imp[0] == pytest.approx(2.0)
 
 
 def test_tree_learns_axis_split():
@@ -242,7 +244,8 @@ def test_split_scan_matches_a_per_column_oracle(case):
     if case in ("constant", "n2-tied"):
         X[:, 1] = X[0, 1]
     Y = rng.integers(0, 4, size=(n, 3)).astype(float)   # integer sums are exact in any order
-    xs, left, ok = split_scan(X, Y)
+    order, xs, ok = split_scan(X)
+    left = np.cumsum(Y[order], axis=0)[:-1]
     assert xs.shape == X.shape and left.shape == (n - 1, 4, 3) and ok.shape == (n - 1, 4)
     for j in range(X.shape[1]):
         assert xs[:, j].tolist() == sorted(X[:, j])
@@ -264,7 +267,8 @@ def _best_split_oracle(X, y, k, criterion, candidates, min_leaf):
         for size, thr, left in _scan_oracle(X[:, f], np.eye(k)[y]):
             if size < min_leaf or n - size < min_leaf:
                 continue
-            imp = _impurity_rows(np.array([left, counts - left]), criterion)
+            imp = _impurity_rows(np.array([left, counts - left]), np.array([size, n - size]),
+                                 criterion)
             score = (size * imp[0] + (n - size) * imp[1]) / n
             if best is None or score < best[0]:
                 best = (score, int(f), float(thr))
@@ -343,15 +347,104 @@ def test_random_split_of_weighted_rows_equals_the_split_of_their_copies(criterio
 @pytest.mark.parametrize("d,m", [(1, 0), (1, 1), (2, 1), (2, 2), (5, 0), (5, 1), (5, 3),
                                  (5, 5), (13, 4), (13, 13), (40, 7)])
 def test_candidates_equal_successive_choice_calls(d, m):
-    # the equivalence rests on how the installed numpy draws choice(replace=False)
-    for count in (0, 1, 9):
-        a, b = np.random.default_rng(d * 100 + m), np.random.default_rng(d * 100 + m)
-        want = [a.choice(d, size=m, replace=False) for _ in range(count)]
-        got = _candidates(b, d, m, count)
-        assert got.shape == (count, m)
-        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(count, m))
-        assert a.bit_generator.state == b.bit_generator.state
-        assert a.random() == b.random()
+    # one Floyd pass over the draws of several generators, end to end, equals
+    # successive choice calls on each; this rests on how the installed numpy
+    # draws choice(replace=False)
+    counts = (0, 1, 9, 4)
+    a = [np.random.default_rng(d * 100 + m + g) for g in range(len(counts))]
+    b = [np.random.default_rng(d * 100 + m + g) for g in range(len(counts))]
+    want = [a[g].choice(d, size=m, replace=False) for g, c in enumerate(counts) for _ in range(c)]
+    draws = [_choice_draws(g, d, m, c).astype(np.min_scalar_type(d)) for g, c in zip(b, counts)]
+    got = _floyd(np.concatenate(draws), d, m)
+    assert got.shape == (sum(counts), m)
+    assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(sum(counts), m))
+    for x, z in zip(a, b):
+        assert x.bit_generator.state == z.bit_generator.state
+        assert x.random() == z.random()
+
+
+def _random_split_oracle(X, y, k, criterion, candidates, min_leaf, rng):
+    """Per candidate in draw order: a uniform threshold if the column is not constant; strict <."""
+    n, counts = len(X), np.bincount(y, minlength=k)
+    best = None
+    for f in candidates:
+        lo, hi = X[:, f].min(), X[:, f].max()
+        if lo == hi:
+            continue
+        thr = rng.uniform(lo, hi)
+        left = X[:, f] <= thr
+        size = int(left.sum())
+        if size < min_leaf or n - size < min_leaf:
+            continue
+        L = np.bincount(y[left], minlength=k)
+        imp = _impurity_rows(np.array([L, counts - L]), np.array([size, n - size]), criterion)
+        score = (size * imp[0] + (n - size) * imp[1]) / n
+        if best is None or score < best[0]:
+            best = (score, int(f), float(thr))
+    return None if best is None else best[1:]
+
+
+def _reference_tree(X, y, k, rows, rng, criterion, max_depth, m, min_leaf, splitter, depth=0):
+    """The nested document of one tree, grown node by node on its rows, copies and all."""
+    counts = np.bincount(y[rows], minlength=k)
+    if ((max_depth is None or depth < max_depth) and len(rows) >= 2 * min_leaf
+            and (counts > 0).sum() > 1):
+        cand = rng.choice(X.shape[1], size=m, replace=False)
+        split = (_best_split_oracle(X[rows], y[rows], k, criterion, cand, min_leaf)
+                 if splitter == "best" else
+                 _random_split_oracle(X[rows], y[rows], k, criterion, cand, min_leaf, rng))
+        if split is not None:
+            f, thr = split
+            left = X[rows, f] <= thr   # a stable split of the rows
+            args = (rng, criterion, max_depth, m, min_leaf, splitter, depth + 1)
+            return {"feature": f, "threshold": thr,
+                    "left": _reference_tree(X, y, k, rows[left], *args),
+                    "right": _reference_tree(X, y, k, rows[~left], *args)}
+    return {"dist": (counts / len(rows)).tolist()}
+
+
+@pytest.mark.parametrize("batch_rows", [1, 8192])
+def test_grow_forest_equals_a_recursive_reference_grower(monkeypatch, batch_rows):
+    monkeypatch.setattr(tree_mod, "_BATCH_ROWS", batch_rows)
+    rng = np.random.default_rng(18)
+    uneven = 0
+    for trial in range(80):
+        n, d, k = int(rng.integers(1, 41)), int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        X = (rng.integers(0, 3, size=(n, d)).astype(float) if trial % 2
+             else np.round(rng.normal(size=(n, d)), 1))   # ties
+        y = rng.integers(0, k, n)
+        dup = rng.integers(0, n, n)   # duplicated rows, some with other labels
+        X[n // 2:], y[n // 3:] = X[dup[n // 2:]], y[dup[n // 3:]]
+        splitter = ("best", "random")[trial % 4 // 2]
+        criterion = ("gini", "entropy")[trial // 4 % 2]
+        max_depth = (None, 1, 3)[trial % 3]
+        min_leaf, m = int(rng.integers(0, 4)), int(rng.integers(1, d + 2))
+        seeds = rng.integers(0, 2**31, int(rng.integers(1, 5)))
+        roots = [rng.integers(0, n, n) if t % 2 else np.arange(n) for t in range(len(seeds))]
+        trees = grow_forest(X, y, k, roots, [np.random.default_rng(s) for s in seeds],
+                            criterion, max_depth, m, min_leaf, splitter)
+        want = [_reference_tree(X, y, k, r, np.random.default_rng(s), criterion, max_depth,
+                                min(m, d), min_leaf, splitter) for r, s in zip(roots, seeds)]
+        assert [t.to_dict() for t in trees] == want, trial
+        uneven += len({len(t.feature) for t in trees}) > 1
+    assert uneven >= 10   # forests whose trees finish at different steps
+
+
+def test_grow_forest_on_chains_as_deep_as_their_rows():
+    # alternating labels on 0..39: the best split peels one row at a time, off
+    # the left end; when row i comes i + 1 times it peels the right end, and the
+    # stack holds one pending leaf per level, 40 entries at the deepest split
+    X, y = np.arange(40.0).reshape(-1, 1), np.arange(40) % 2
+    roots = [np.arange(40), np.repeat(np.arange(40), np.arange(1, 41))]
+    plain, weighted = grow_forest(X, y, 2, roots, [np.random.default_rng(s) for s in (0, 1)],
+                                  "gini", None, 1, 1)
+    for tree in (plain, weighted):
+        assert _depth(tree) == 39 and len(tree.feature) == 79
+    assert plain.to_dict() == _reference_tree(X, y, 2, roots[0], np.random.default_rng(0),
+                                              "gini", None, 1, 1, "best")
+    split = weighted.feature >= 0
+    assert (weighted.feature[weighted.left[split]] >= 0).sum() == 38
+    assert np.isin(weighted.value[~split], (0.0, 1.0)).all()
 
 
 def _tree_arrays(tree):
