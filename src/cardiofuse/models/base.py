@@ -1,12 +1,15 @@
 """Common contract for the probabilistic classifiers.
 
 Every learner fits on a feature matrix with labels 0..k-1 and scores unseen
-rows into an (n, k) matrix of probabilities whose rows sum to 1.
+rows into an (n, k) matrix of probabilities whose rows sum to 1. Fits and
+scores run on one BLAS thread (``one_blas_thread``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import threading
 
 import numpy as np
 
@@ -28,6 +31,79 @@ class DivergenceError(ModelError):
 
 
 SERIAL_VERSION = 1
+
+# thread-count entry points of the OpenBLAS builds numpy ships or links:
+# numpy 2 wheels (64-bit integers), scipy-openblas with 32-bit integers, plain OpenBLAS
+_OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_",
+                          "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None where there is none (not Linux, MKL, Accelerate)."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields
+                          if len(f) == 6 and "openblas" in f[5])
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_CALLS:
+            try:
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Context manager that runs its body on one OpenBLAS thread.
+
+    The outermost entry saves the process's BLAS thread count and sets it to
+    1; the outermost exit restores it, also when the body raises. Entries
+    nest and may overlap across Python threads: a depth counter under a
+    lock decides which entry is the outermost. One thread fixes the order of
+    every product's partial sums, so fits and scores give the same bytes
+    whatever the caller's thread count, and no idle OpenBLAS worker
+    busy-waits beside the numpy-only fits that follow a threaded call.
+    OpenBLAS is looked up at the first entry, not at import. Without it the
+    scope does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            blas = _find_openblas()
+            if self._depth == 0 and blas is not None:
+                get, put = blas
+                self._saved = get()
+                put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            blas = _find_openblas()
+            if self._depth == 0 and blas is not None:
+                blas[1](self._saved)
+
+
+# the BLAS thread count belongs to the process, so there is one scope for it
+one_blas_thread = _OneBlasThread()
 
 
 class ProbabilisticClassifier:
@@ -51,7 +127,8 @@ class ProbabilisticClassifier:
         if self.class_count_ is None:
             # a degenerate single-class target still yields a binary scorer
             self.class_count_ = max(int(y.max()) + 1, 2)
-        self._fit(X, y)
+        with one_blas_thread:
+            self._fit(X, y)
         self.fitted = True
         return self
 
@@ -64,7 +141,8 @@ class ProbabilisticClassifier:
         if X.shape[1] != self.n_features_:
             raise ShapeError(
                 f"row width {X.shape[1]} does not match training width {self.n_features_}")
-        p = self._scores(X)
+        with one_blas_thread:
+            p = self._scores(X)
         return np.asarray(p, dtype=np.float64)
 
     def predict(self, X) -> np.ndarray:

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .base import ProbabilisticClassifier
+from .base import ProbabilisticClassifier, one_blas_thread
 
 
 def rbf_kernel(A, B, gamma):
@@ -205,7 +205,8 @@ class SVMClassifier(ProbabilisticClassifier):
 
     def decision_function(self, X, machine: int = 0):
         m = self.machines_[machine]
-        return self._kernel(np.asarray(X, dtype=np.float64), m["sv_X"]) @ m["coef"] + m["b"]
+        with one_blas_thread:
+            return self._kernel(np.asarray(X, dtype=np.float64), m["sv_X"]) @ m["coef"] + m["b"]
 
     def _scores(self, X):
         k = self.class_count_

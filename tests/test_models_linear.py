@@ -6,6 +6,7 @@ import pytest
 
 from cardiofuse.models import (LogisticRegressionClassifier, SVMClassifier,
                                NotFittedError, ProbabilisticClassifier, ShapeError)
+from cardiofuse.models.base import one_blas_thread
 from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
                                    linear_kernel, platt_prob, rbf_kernel)
 
@@ -192,8 +193,12 @@ def _desk_svm_fit(task, test_fraction, seed=0):
 
 
 def _assert_kkt(model, X, y):
-    """Every machine converged, and its margins meet the KKT conditions at tol."""
-    Z = kernel_factor(X, model.kernel, model.gamma)
+    """Every machine converged, and its margins meet the KKT conditions at tol.
+
+    The oracle solves again in the one-thread scope the fit runs in, so its
+    products sum in the same order and array_equal can hold."""
+    with one_blas_thread:
+        Z = kernel_factor(X, model.kernel, model.gamma)
     positives = [1] if model.class_count_ == 2 else range(model.class_count_)
     assert len(model.solver_) == len(model.machines_) == len(positives)
     for i, cls in enumerate(positives):
@@ -201,7 +206,8 @@ def _assert_kkt(model, X, y):
         assert stats["converged"] and stats["gap"] <= model.tol
         assert 0 < stats["iterations"] <= model.max_passes
         ypm = np.where(y == cls, 1.0, -1.0)
-        alpha = _solve_dual(Z, ypm, model.C, model.tol, model.max_passes)[0]
+        with one_blas_thread:
+            alpha = _solve_dual(Z, ypm, model.C, model.tol, model.max_passes)[0]
         assert np.array_equal((alpha * ypm)[alpha > 1e-10], model.machines_[i]["coef"])
         margin = ypm * model.decision_function(X, i) - 1.0
         slack = model.tol + 1e-9

@@ -499,9 +499,10 @@ def _pipeline_fits(monkeypatch, task, test_fraction, pairs):
     return fits
 
 
-# sha256 of json.dumps(model.to_dict()) for the pipeline's seed-0 fits, recorded
-# before the split search scanned all candidate features in one pass; "DT-best" is
-# the pipeline's DT refitted on the same rows with splitter="best"
+# sha256 of json.dumps(model.to_dict()) for the pipeline's seed-0 fits; the tree
+# documents were recorded before the split search scanned all candidate features
+# in one pass; "DT-best" is the pipeline's DT refitted on the same rows with
+# splitter="best"
 _DOC_DIGESTS = {
     ("binary", 0.2, "RF"): "904cb72e526265a2a975c69fdd1edd9efeaf06f595f45cfb5ae844a0ed987685",
     ("binary", 0.2, "DT"): "06ad75c3bdc294433717a0613893703077b454cc0e2a26639cff8f6db345aeeb",
@@ -513,6 +514,19 @@ _DOC_DIGESTS = {
     ("binary", 0.3, "ADA"): "5c58f5ce3b026c49cdfaa87cafb9344ef805b38157aa089243bb97469f6c9683",
     ("multiclass", 0.2, "RF"): "d065125522a2bf64b31b84719dd12cd3d41b1f1d698b46cb59281b70772e710f",
     ("multiclass", 0.3, "RF"): "b25a0d71ee2eb28af426d488ea9a8c51f8436e107348f094b07289e53705e60f",
+    # recorded once fits ran on one BLAS thread: these hold under any thread count
+    ("binary", 0.2, "LR"): "5b7fcc0b65d67d1b0202e116f908c301e19a48a7e9d5a3fc3489a9bbdb5ccfd8",
+    ("binary", 0.2, "SVM"): "9caecb675eda1e7f218f627e4c38db88afc1b246202a23cfce068900e0290b38",
+    ("binary", 0.2, "ANN"): "572c49f941a5ba42e1d46667fd260062d81df5da4727a2950397e84894cae3e7",
+    ("binary", 0.3, "LR"): "3a8bb6ff903749922dc3123a06b8bc1874da4ed1adf96f6106531fbbbcb0bf42",
+    ("binary", 0.3, "SVM"): "c84b43b70bd131e84751870f054ab085bfc20816cf17a890caaa0be7013e9b6b",
+    ("binary", 0.3, "ANN"): "6172335ebd80c7c4e1245acc8b2da882230d7894b5d502c888d38a9a3c98bf84",
+    ("multiclass", 0.2, "LR"): "d57e663f2c422db0e1c83b94006079fa4463b26db3b555ff1832de997fb56644",
+    ("multiclass", 0.2, "SVM"): "e569344481e21df6b96ffd833f0b23cced84a14b9f646d3cd50ab3c614b1ece0",
+    ("multiclass", 0.2, "ANN"): "7d8e25ebe7bc9a09ecff42654b28e1725077cab8d81fd0b58ebec41604fc220d",
+    ("multiclass", 0.3, "LR"): "afa6b7cd2e4f84446cfe352d14fbb05bc4f6698426e0420fa6357cee031b99a8",
+    ("multiclass", 0.3, "SVM"): "f28500eafdb8bec0da6010d2a18a1280b940e28707b801a9c59ca262428236ab",
+    ("multiclass", 0.3, "ANN"): "859a82780b0073e833292a656e6c59bcc2ea7d0bd87f860ab6ab4e7eb6549e8d",
 }
 
 
@@ -520,6 +534,7 @@ _DOC_DIGESTS = {
                                                 ("multiclass", 0.2), ("multiclass", 0.3)])
 def test_pipeline_tree_documents_are_byte_identical(monkeypatch, task, test_fraction):
     pairs = [("RF", "DT"), ("ADA", "DT")] if task == "binary" else [("RF", "LR")]
+    pairs += [("LR", "SVM"), ("ANN", "LR")]
     fits = _pipeline_fits(monkeypatch, task, test_fraction, pairs)
     docs = {kind: fit[0].to_dict() for kind, fit in fits.items()}
     if "DT" in fits:
