@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 training failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -74,31 +75,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    base = {}
+    """RunConfig from the --config file's fields, with the given flags laid over them."""
+    cfg = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            base = json.load(f)
-
-    def pick(flag, key, fallback):
-        return flag if flag is not None else base.get(key, fallback)
-
-    cfg = {
-        "data_path": pick(args.data, "data_path", None),
-        "schema_path": pick(args.schema, "schema_path", None),
-        "task": pick(args.task, "task", "binary"),
-        "test_fraction": pick(args.test_fraction, "test_fraction", 0.2),
-        "master_seed": pick(args.seed, "master_seed", 0),
-        "report_dir": pick(args.report_dir, "report_dir", "reports"),
-        "stratified": (False if args.unstratified
-                       else base.get("stratified", True)),
-        "has_header": args.has_header or base.get("has_header", False),
-        "hyperparams": base.get("hyperparams", {}),
-        "weight_eval_mode": pick(args.weight_eval, "weight_eval_mode", "test"),
-    }
-    if args.pairs:
-        cfg["fusion_pairs"] = _parse_pairs(args.pairs)
-    elif "fusion_pairs" in base:
-        cfg["fusion_pairs"] = [tuple(p) for p in base["fusion_pairs"]]
+            cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: a config file holds one JSON object")
+        unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown RunConfig fields {unknown}")
+    flags = {"data_path": args.data, "schema_path": args.schema, "task": args.task,
+             "test_fraction": args.test_fraction, "master_seed": args.seed,
+             "report_dir": args.report_dir, "weight_eval_mode": args.weight_eval,
+             "fusion_pairs": _parse_pairs(args.pairs) if args.pairs else None,
+             "stratified": False if args.unstratified else None,
+             "has_header": True if args.has_header else None}
+    cfg.update({name: value for name, value in flags.items() if value is not None})
+    cfg["report_dir"] = cfg.get("report_dir") or "reports"
     return RunConfig(**cfg)
 
 

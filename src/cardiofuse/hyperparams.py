@@ -56,7 +56,7 @@ _DEFAULTS = {
     },
 }
 
-MULTICLASS_KINDS = ("LR", "SVM", "RF", "ANN")
+MULTICLASS_KINDS = tuple(_DEFAULTS[("multiclass", 0.20)])
 
 
 def defaults_for(task: str, test_fraction: float) -> dict[str, dict]:

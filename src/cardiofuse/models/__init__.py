@@ -9,16 +9,11 @@ from .forest import RandomForestClassifier
 from .mlp import MLPClassifier
 from .adaboost import AdaBoostClassifier
 
-MODEL_KINDS = ("LR", "SVM", "DT", "RF", "ANN", "ADA")
+_REGISTRY = {cls.kind: cls for cls in (
+    LogisticRegressionClassifier, SVMClassifier, DecisionTreeClassifier,
+    RandomForestClassifier, MLPClassifier, AdaBoostClassifier)}
 
-_REGISTRY = {
-    "LR": LogisticRegressionClassifier,
-    "SVM": SVMClassifier,
-    "DT": DecisionTreeClassifier,
-    "RF": RandomForestClassifier,
-    "ANN": MLPClassifier,
-    "ADA": AdaBoostClassifier,
-}
+MODEL_KINDS = tuple(_REGISTRY)   # LR, SVM, DT, RF, ANN, ADA: the benchmark pairs them in this order
 
 
 def model_class(kind: str) -> type[ProbabilisticClassifier]:

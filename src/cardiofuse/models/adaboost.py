@@ -60,6 +60,7 @@ def _best_stump(scan, y, w):
 
 class AdaBoostClassifier(ProbabilisticClassifier):
     kind = "ADA"
+    _PARAMS = ("n_estimators", "learning_rate")
 
     def __init__(self, n_estimators: int = 200, learning_rate: float = 0.01):
         super().__init__()
@@ -79,30 +80,26 @@ class AdaBoostClassifier(ProbabilisticClassifier):
         self.class_count_ = 2
         n = X.shape[0]
         w = np.full(n, 1.0 / n)
-        self.stumps_, self.alphas_ = [], []
-        self.weight_history_sum_ = []
+        self.stumps_, self.alphas_, self.weight_history_sum_ = [], [], []
         scan = split_scan(X)   # the weights change each round, the order never
         for _ in range(self.n_estimators):
             f, thr, lc, rc, eps = _best_stump(scan, y, w)
-            if eps >= 0.5:
-                if not self.stumps_:
-                    # the first stump, fitted on uniform weights, is already at
-                    # chance: keep it as a zero-weight majority vote
-                    self.stumps_.append((f, thr, lc, rc))
-                    self.alphas_.append(0.0)
+            if eps >= 0.5 and self.stumps_:
                 break
-            pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
-            if eps <= 0:
+            if eps >= 0.5:
+                # the first stump, fitted on uniform weights, is already at
+                # chance: keep it as a zero-weight majority vote
+                alpha = 0.0
+            elif eps <= 0:
                 alpha = self.learning_rate * ALPHA_CAP_LOG
-                self.stumps_.append((f, thr, lc, rc))
-                self.alphas_.append(alpha)
-                self.weight_history_sum_.append(float(w.sum()))
-                break  # a perfect stump ends the ensemble
-            alpha = self.learning_rate * 0.5 * np.log((1.0 - eps) / eps)
+            else:
+                alpha = self.learning_rate * 0.5 * np.log((1.0 - eps) / eps)
             self.stumps_.append((f, thr, lc, rc))
             self.alphas_.append(alpha)
-            miss = pred != y
-            w = w * np.exp(alpha * miss)
+            if not 0 < eps < 0.5:
+                break  # a perfect stump, or the first at chance, ends the ensemble
+            pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
+            w = w * np.exp(alpha * (pred != y))
             w = w / w.sum()
             self.weight_history_sum_.append(float(w.sum()))
 
@@ -122,12 +119,9 @@ class AdaBoostClassifier(ProbabilisticClassifier):
     def _scores(self, X):
         return softmax(self.vote_totals(X))
 
-    def _params_to_dict(self):
-        return {"n_estimators": self.n_estimators, "learning_rate": self.learning_rate,
-                "stumps": [list(s) for s in self.stumps_], "alphas": list(self.alphas_)}
+    def _state_to_dict(self):
+        return {"stumps": [list(s) for s in self.stumps_], "alphas": list(self.alphas_)}
 
-    def _params_from_dict(self, doc):
-        self.n_estimators = doc["n_estimators"]
-        self.learning_rate = doc["learning_rate"]
+    def _state_from_dict(self, doc):
         self.stumps_ = [tuple(s) for s in doc["stumps"]]
         self.alphas_ = [float(a) for a in doc["alphas"]]

@@ -110,6 +110,8 @@ class ProbabilisticClassifier:
     """Base class: fit(X, y) then predict_proba(X) -> row-normalized scores."""
 
     kind = "?"
+    # hyperparameters in model-document order, ahead of the fitted state
+    _PARAMS: tuple[str, ...] = ()
 
     def __init__(self):
         self.fitted = False
@@ -155,13 +157,21 @@ class ProbabilisticClassifier:
     def _scores(self, X):
         raise NotImplementedError
 
-    def _params_to_dict(self) -> dict:
+    def _state_to_dict(self) -> dict:
         raise NotImplementedError
 
-    def _params_from_dict(self, doc: dict):
+    def _state_from_dict(self, doc: dict):
         raise NotImplementedError
 
     # serialization ------------------------------------------------------
+    def _params_to_dict(self) -> dict:
+        return {**{p: getattr(self, p) for p in self._PARAMS}, **self._state_to_dict()}
+
+    def _params_from_dict(self, doc: dict):
+        for p in self._PARAMS:
+            setattr(self, p, doc[p])
+        self._state_from_dict(doc)
+
     def to_dict(self) -> dict:
         if not self.fitted:
             raise NotFittedError("cannot serialize an unfitted model")

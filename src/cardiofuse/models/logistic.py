@@ -12,8 +12,13 @@ import numpy as np
 from .base import DivergenceError, ProbabilisticClassifier, one_hot, softmax
 
 
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 class LogisticRegressionClassifier(ProbabilisticClassifier):
     kind = "LR"
+    _PARAMS = ("C",)
 
     def __init__(self, C: float = 1.0, max_iter: int = 5000, tol: float = 1e-6):
         super().__init__()
@@ -31,57 +36,36 @@ class LogisticRegressionClassifier(ProbabilisticClassifier):
         # Lipschitz bound on the mean-gradient: 0.25 * lambda_max(X^T X / n) + 1/(C n)
         lam = float(np.linalg.eigvalsh((X.T @ X) / n)[-1])
         lr = 1.0 / (0.25 * lam + 1.0 / (self.C * n) + 1e-12)
-
-        if k == 2:
-            w = np.zeros(d)
-            b = 0.0
-            for _ in range(self.max_iter):
-                z = X @ w + b
-                p = 1.0 / (1.0 + np.exp(-z))
-                if not np.all(np.isfinite(p)):
-                    raise DivergenceError(f"non-finite loss at learning rate {lr:.3g}")
-                r = y - p
-                gw = X.T @ r / n - w / (self.C * n)
-                gb = r.mean()
-                w += lr * gw
-                b += lr * gb
-                if np.sqrt((gw * gw).sum() + gb * gb) < self.tol:
-                    break
-            self.w_ = w
-            self.b_ = b
-        else:
-            W = np.zeros((d, k))
-            b = np.zeros(k)
-            Y = one_hot(y, k)
-            for _ in range(self.max_iter):
-                p = softmax(X @ W + b)
-                if not np.all(np.isfinite(p)):
-                    raise DivergenceError(f"non-finite loss at learning rate {lr:.3g}")
-                r = Y - p
-                gW = X.T @ r / n - W / (self.C * n)
-                gb = r.mean(axis=0)
-                W += lr * gW
-                b += lr * gb
-                if np.sqrt((gW * gW).sum() + (gb * gb).sum()) < self.tol:
-                    break
-            self.w_ = W
-            self.b_ = b
+        # binary: one sigmoid unit, W (d,) and b 0-d; else softmax, W (d, k) and b (k,)
+        link, Y = (_sigmoid, y) if k == 2 else (softmax, one_hot(y, k))
+        W, b = np.zeros((d, *Y.shape[1:])), np.zeros(Y.shape[1:])
+        for _ in range(self.max_iter):
+            p = link(X @ W + b)
+            if not np.all(np.isfinite(p)):
+                raise DivergenceError(f"non-finite loss at learning rate {lr:.3g}")
+            r = Y - p
+            gW = X.T @ r / n - W / (self.C * n)
+            gb = r.mean(axis=0)
+            W += lr * gW
+            b = b + lr * gb   # not in place: a 0-d b then stays a cheap numpy scalar
+            if np.sqrt((gW * gW).sum() + (gb * gb).sum()) < self.tol:
+                break
+        self.w_, self.b_ = W, b
 
     def _scores(self, X):
+        z = X @ self.w_ + self.b_
         if self.class_count_ == 2:
-            p1 = 1.0 / (1.0 + np.exp(-(X @ self.w_ + self.b_)))
+            p1 = _sigmoid(z)
             return np.column_stack([1.0 - p1, p1])
-        return softmax(X @ self.w_ + self.b_)
+        return softmax(z)
 
     def weight_norm(self) -> float:
         return float(np.sqrt((np.asarray(self.w_) ** 2).sum()))
 
-    def _params_to_dict(self):
-        return {"C": self.C, "w": np.asarray(self.w_).tolist(),
-                "b": np.asarray(self.b_).tolist() if self.class_count_ > 2 else float(self.b_)}
+    def _state_to_dict(self):
+        # a binary model's 0-d b lists as a float
+        return {"w": np.asarray(self.w_).tolist(), "b": np.asarray(self.b_).tolist()}
 
-    def _params_from_dict(self, doc):
-        self.C = doc["C"]
+    def _state_from_dict(self, doc):
         self.w_ = np.asarray(doc["w"], dtype=np.float64)
-        self.b_ = (np.asarray(doc["b"], dtype=np.float64)
-                   if self.class_count_ > 2 else float(doc["b"]))
+        self.b_ = np.asarray(doc["b"], dtype=np.float64)

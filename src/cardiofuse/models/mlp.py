@@ -18,6 +18,7 @@ def _sigmoid(z):
 
 class MLPClassifier(ProbabilisticClassifier):
     kind = "ANN"
+    _PARAMS = ("hidden_units", "learning_rate", "batch_size", "epochs", "l2", "seed")
 
     def __init__(self, hidden_units: int = 8, learning_rate: float = 0.01,
                  batch_size: int = 10, epochs: int = 15, l2: float = 0.01,
@@ -87,20 +88,9 @@ class MLPClassifier(ProbabilisticClassifier):
     def _scores(self, X):
         return self._forward(X)[1]
 
-    def parameters(self):
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
+    def _state_to_dict(self):
+        return {name: getattr(self, name).tolist() for name in ("W1", "b1", "W2", "b2")}
 
-    def _params_to_dict(self):
-        return {"hidden_units": self.hidden_units, "learning_rate": self.learning_rate,
-                "batch_size": self.batch_size, "epochs": self.epochs, "l2": self.l2,
-                "seed": self.seed,
-                "W1": self.W1.tolist(), "b1": self.b1.tolist(),
-                "W2": self.W2.tolist(), "b2": self.b2.tolist()}
-
-    def _params_from_dict(self, doc):
-        for name in ("hidden_units", "learning_rate", "batch_size", "epochs", "l2", "seed"):
-            setattr(self, name, doc[name])
-        self.W1 = np.asarray(doc["W1"], dtype=np.float64)
-        self.b1 = np.asarray(doc["b1"], dtype=np.float64)
-        self.W2 = np.asarray(doc["W2"], dtype=np.float64)
-        self.b2 = np.asarray(doc["b2"], dtype=np.float64)
+    def _state_from_dict(self, doc):
+        for name in ("W1", "b1", "W2", "b2"):
+            setattr(self, name, np.asarray(doc[name], dtype=np.float64))

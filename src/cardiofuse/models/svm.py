@@ -162,6 +162,7 @@ def platt_prob(A, B, f):
 
 class SVMClassifier(ProbabilisticClassifier):
     kind = "SVM"
+    _PARAMS = ("C", "kernel", "gamma")
 
     def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma: float = 0.1,
                  tol: float = 1e-3, max_passes: int = 200):
@@ -225,9 +226,8 @@ class SVMClassifier(ProbabilisticClassifier):
         out = np.where(s > 0, probs / np.where(s == 0, 1.0, s), 1.0 / k)
         return out
 
-    def _params_to_dict(self):
+    def _state_to_dict(self):
         return {
-            "C": self.C, "kernel": self.kernel, "gamma": self.gamma,
             "single_class": self.single_class_,
             "machines": [{
                 "sv_X": m["sv_X"].tolist(), "coef": m["coef"].tolist(),
@@ -235,10 +235,7 @@ class SVMClassifier(ProbabilisticClassifier):
             } for m in self.machines_],
         }
 
-    def _params_from_dict(self, doc):
-        self.C = doc["C"]
-        self.kernel = doc["kernel"]
-        self.gamma = doc["gamma"]
+    def _state_from_dict(self, doc):
         self.single_class_ = doc["single_class"]
         self.machines_ = [{
             # (0, d) when a machine keeps no support vector, e.g. its class had no rows

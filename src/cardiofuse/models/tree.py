@@ -27,6 +27,16 @@ def _impurity_rows(counts: np.ndarray, n: np.ndarray, criterion: str) -> np.ndar
     return -(p * logp).sum(axis=1)
 
 
+def check_tree_params(criterion, max_depth, max_features):
+    """Raise ValueError on a tree setting that DT and RF cannot grow with."""
+    if criterion not in ("gini", "entropy"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if max_features is not None and max_features < 0:
+        raise ValueError("max_features must be >= 0")
+
+
 class Tree:
     """A fitted binary tree as parallel arrays in preorder.
 
@@ -186,9 +196,10 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
     its tree's next ``rng.choice``: drawn for all the tree's nodes after its
     root rows (best splitter), or node by node before its thresholds (random),
     so each tree reads its stream as if grown alone. Node records are laid out
-    once at the end.
+    once at the end. ``max_features`` None draws round(sqrt(d)) candidates.
     """
-    d, m = X.shape[1], min(max_features, X.shape[1])
+    d = X.shape[1]
+    m = min(int(round(np.sqrt(d))) if max_features is None else max_features, d)
     max_depth = np.inf if max_depth is None else max_depth
     Xy, group = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
     X, y = Xy[:, :-1], Xy[:, -1].astype(np.int64)
@@ -325,19 +336,15 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
 
 class DecisionTreeClassifier(ProbabilisticClassifier):
     kind = "DT"
-    # hyperparameters in model-document order
     _PARAMS = ("criterion", "max_depth", "max_features", "min_samples_leaf", "splitter", "seed")
 
     def __init__(self, criterion: str = "gini", max_depth: int | None = 8,
-                 max_features: int = 8, min_samples_leaf: int = 7,
+                 max_features: int | None = 8, min_samples_leaf: int = 7,
                  splitter: str = "random", seed: int = 0):
         super().__init__()
-        if criterion not in ("gini", "entropy"):
-            raise ValueError(f"unknown criterion {criterion!r}")
+        check_tree_params(criterion, max_depth, max_features)
         if splitter not in ("random", "best"):
             raise ValueError(f"unknown splitter {splitter!r}")
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
         self.criterion = criterion
         self.max_depth = max_depth
         self.max_features = max_features
@@ -355,10 +362,8 @@ class DecisionTreeClassifier(ProbabilisticClassifier):
     def _scores(self, X):
         return score_forest([self.tree_], X)
 
-    def _params_to_dict(self):
-        return {**{p: getattr(self, p) for p in self._PARAMS}, "root": self.tree_.to_dict()}
+    def _state_to_dict(self):
+        return {"root": self.tree_.to_dict()}
 
-    def _params_from_dict(self, doc):
-        for p in self._PARAMS:
-            setattr(self, p, doc[p])
+    def _state_from_dict(self, doc):
         self.tree_ = Tree.from_dict(doc["root"])

@@ -80,15 +80,29 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in ("binary", "multiclass"):
             raise ConfigError(f"unknown task {self.task!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
+        for name in ("test_fraction", "validation_fraction"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 < value < 1.0):
+                raise ConfigError(f"{name} must be a number in (0, 1), not {value!r}")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
+            raise ConfigError(f"master_seed must be an integer, not {self.master_seed!r}")
+        if not all(isinstance(p, (str, type(None))) for p in (self.data_path, self.schema_path)):
+            raise ConfigError("data_path and schema_path must be path strings or null")
+        if not all(isinstance(flag, bool) for flag in (self.stratified, self.has_header)):
+            raise ConfigError("stratified and has_header must be true or false")
         if self.weight_eval_mode not in ("test", "validation"):
             raise ConfigError(f"unknown weight_eval_mode {self.weight_eval_mode!r}")
         if self.fusion_pairs is None:
             self.fusion_pairs = list(DEFAULT_PAIRS[self.task])
+        if not isinstance(self.fusion_pairs, (list, tuple)):
+            raise ConfigError("fusion_pairs must be a list of model-kind pairs")
         pairs = []
-        for a, b in self.fusion_pairs:
-            a, b = a.upper(), b.upper()
+        for pair in self.fusion_pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(kind, str) for kind in pair)):
+                raise ConfigError(f"bad fusion pair {pair!r}; expected two model kinds")
+            a, b = pair[0].upper(), pair[1].upper()
             for kind in (a, b):
                 if kind not in MODEL_KINDS:
                     raise ConfigError(f"unknown model kind {kind!r}")
@@ -217,12 +231,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     members: dict[str, EvaluationReport] = {}
     scaler_doc = {}
     for kind in kinds:
-        if kind not in defaults:
-            raise PipelineError("train", ConfigError(
-                f"{kind} has no {task.kind} hyperparameters"))
         hp = defaults[kind]
         hp.update(config.hyperparams.get(kind, {}))
-        if kind in ("DT", "RF", "ANN"):
+        if "seed" in model_class(kind)._PARAMS:
             hp.setdefault("seed", child_seed(seed, "train", kind))
 
         scaler = stage("scale", fit_scaler, train.rows, SCALER_FOR[kind])

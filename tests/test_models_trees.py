@@ -58,6 +58,23 @@ def test_no_candidate_features_grows_one_leaf(splitter):
     assert m.to_dict()["params"]["root"] == {"dist": (np.bincount(y) / len(y)).tolist()}
 
 
+@pytest.mark.parametrize("cls", [DecisionTreeClassifier, RandomForestClassifier])
+def test_tree_settings_are_checked_alike(cls):
+    for bad in ({"criterion": "foo"}, {"max_depth": 0}, {"max_features": -1}):
+        with pytest.raises(ValueError):
+            cls(**bad)
+    rng = np.random.default_rng(3)
+    X, y = blob_data(rng, n=40, d=5)
+    small = {"n_estimators": 3} if cls is RandomForestClassifier else {}
+    # no candidate feature: every tree is one leaf
+    state = cls(max_features=0, **small).fit(X, y)._state_to_dict()
+    roots = state["trees"] if "trees" in state else [state["root"]]
+    assert all(set(root) == {"dist"} for root in roots)
+    # only None means round(sqrt(d)) candidates
+    assert (cls(max_features=None, **small).fit(X, y)._state_to_dict()
+            == cls(max_features=2, **small).fit(X, y)._state_to_dict())
+
+
 def _leaf_sizes(tree, node, X, idx, out):
     if tree.feature[node] < 0:
         out.append(len(idx))

@@ -318,6 +318,40 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert list(doc["fusions"]) == ["LR+RF"]
 
 
+def test_cli_config_file_carries_every_field(tmp_path):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"weight_eval_mode": "validation",
+                                    "validation_fraction": 0.5}))
+    report_dir = tmp_path / "rep"
+    assert cli_main(["run", "--config", str(cfg_file), "--seed", "3", "--pairs", "lr+dt",
+                     "--report-dir", str(report_dir)]) == 0
+    doc = json.loads((report_dir / "report.json").read_text())
+    assert doc["config"]["validation_fraction"] == 0.5
+    assert doc["preprocessing"]["train_rows"] == 121   # 242 training rows, half for weights
+
+
+@pytest.mark.parametrize("content, message", [
+    ([1, 2], "holds one JSON object"),
+    ({"bogus": 1}, "unknown RunConfig fields ['bogus']"),
+    ({"test_fraction": "0.2"}, "test_fraction must be a number in (0, 1)"),
+    ({"test_fraction": True}, "test_fraction must be a number in (0, 1)"),
+    ({"validation_fraction": 1.5}, "validation_fraction must be a number in (0, 1)"),
+    ({"master_seed": "3"}, "master_seed must be an integer"),
+    ({"data_path": 5}, "data_path and schema_path must be path strings"),
+    ({"stratified": "false"}, "stratified and has_header must be true or false"),
+    ({"fusion_pairs": [["ANN", "RF", "LR"]]}, "bad fusion pair ['ANN', 'RF', 'LR']"),
+    ({"fusion_pairs": [["ANN", 1]]}, "bad fusion pair ['ANN', 1]"),
+    ({"fusion_pairs": 3}, "fusion_pairs must be a list"),
+])
+def test_cli_rejects_malformed_config_files(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    assert cli_main(["run", "--config", str(cfg),
+                     "--report-dir", str(tmp_path / "rep")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def _prepared(task, frac, seed):
     table = load_csv(bundled_data_path())
     table = impute_most_frequent(table)
