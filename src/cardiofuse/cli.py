@@ -17,8 +17,8 @@ import numpy as np
 from .dataset import (DataError, bundled_data_path, load_csv,
                       load_schema_file, summarize)
 from .models.base import ModelError
-from .pipeline import (ConfigError, PipelineError, RunConfig, emit_report,
-                       run_experiment, validate_against_paper)
+from .pipeline import (DATA_STAGES, ConfigError, PipelineError, RunConfig,
+                       emit_report, run_experiment, validate_against_paper)
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_TRAINING = 0, 1, 2, 3
 
@@ -103,9 +103,7 @@ def cmd_run(args) -> int:
 
     accs: dict[str, list[float]] = {}
     for rep_i in range(max(1, args.repeat)):
-        cfg = config if args.repeat <= 1 else RunConfig(
-            **{**config.to_dict(), "master_seed": config.master_seed + rep_i,
-               "fusion_pairs": config.fusion_pairs})
+        cfg = dataclasses.replace(config, master_seed=config.master_seed + rep_i)
         report = run_experiment(cfg)
         out_dir = (cfg.report_dir if args.repeat <= 1
                    else os.path.join(cfg.report_dir, f"seed{cfg.master_seed}"))
@@ -193,7 +191,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except PipelineError as e:
         print(f"pipeline error: {e}", file=sys.stderr)
-        if e.stage in ("load", "impute", "encode", "split"):
+        if e.stage in DATA_STAGES:
             return EXIT_DATA
         return EXIT_TRAINING
     except ModelError as e:

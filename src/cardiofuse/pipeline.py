@@ -49,6 +49,8 @@ PAPER_FUSION_ACCURACY = {
     ("multiclass", 0.20, "ANN+LR"): 75.41,
 }
 VALIDATE_TOLERANCE = {"binary": 5.0, "multiclass": 15.0}
+# stages whose failure is the input data's fault (the CLI exits 2 on them)
+DATA_STAGES = frozenset({"load", "impute", "encode", "split", "weight_eval_split"})
 
 
 class PipelineError(Exception):
@@ -56,6 +58,14 @@ class PipelineError(Exception):
         super().__init__(f"stage {stage!r}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def stage(name, fn, *args, **kwargs):
+    """Call fn, re-raising any failure as a PipelineError of stage `name`."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:
+        raise PipelineError(name, e) from e
 
 
 class ConfigError(Exception):
@@ -193,12 +203,6 @@ def run_experiment(config: RunConfig) -> RunReport:
     averaging = "macro" if task.kind == "binary" else "weighted"
     seed = config.master_seed
 
-    def stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as e:
-            raise PipelineError(name, e) from e
-
     path = config.data_path or bundled_data_path()
     schema = (stage("load", load_schema_file, config.schema_path)
               if config.schema_path else None)
@@ -211,13 +215,13 @@ def run_experiment(config: RunConfig) -> RunReport:
     spec = SplitSpec(config.test_fraction, child_seed(seed, "split"), config.stratified)
     train, test = stage("split", split, table, spec)
 
-    # the weight-selection subset is carved off before oversampling so
-    # duplicated minority rows cannot straddle the boundary
-    val = None
+    # the rows the fusion weights are picked on; validation rows are carved off
+    # before oversampling so duplicated minority rows cannot straddle the boundary
+    select = test
     if config.weight_eval_mode == "validation":
         vspec = SplitSpec(config.validation_fraction,
                           child_seed(seed, "weight_eval_split"), config.stratified)
-        train, val = stage("weight_eval_split", split, train, vspec)
+        train, select = stage("weight_eval_split", split, train, vspec)
 
     if task.kind == "multiclass":
         train = stage("oversample", random_oversample, train,
@@ -225,47 +229,27 @@ def run_experiment(config: RunConfig) -> RunReport:
 
     defaults = defaults_for(task.kind, config.test_fraction)
     kinds = sorted({k for pair in config.fusion_pairs for k in pair})
+    tables = [test] if select is test else [test, select]
 
-    member_scores: dict[str, np.ndarray] = {}
-    val_scores: dict[str, np.ndarray] = {}
-    members: dict[str, EvaluationReport] = {}
-    scaler_doc = {}
+    member_scores, select_scores, members, scaler_doc = {}, {}, {}, {}
     for kind in kinds:
         hp = defaults[kind]
         hp.update(config.hyperparams.get(kind, {}))
         if "seed" in model_class(kind)._PARAMS:
             hp.setdefault("seed", child_seed(seed, "train", kind))
-
-        scaler = stage("scale", fit_scaler, train.rows, SCALER_FOR[kind])
-        Xtr = apply_scaler(scaler, train.rows)
-        Xte = apply_scaler(scaler, test.rows)
-        scaler_doc[kind] = {
-            "kind": scaler.kind,
-            "center": None if scaler.center is None else scaler.center.tolist(),
-            "scale": None if scaler.scale is None else scaler.scale.tolist(),
-        }
-
-        model = stage("train", _train_one, kind, hp, Xtr, train.labels,
-                      task.class_count)
-        member_scores[kind] = stage("score", model.predict_proba, Xte)
-        if val is not None:
-            val_scores[kind] = model.predict_proba(apply_scaler(scaler, val.rows))
+        scores, scaler_doc[kind] = _fit_and_score(kind, hp, train, tables,
+                                                  task.class_count)
+        member_scores[kind], select_scores[kind] = scores[0], scores[-1]
         members[kind] = stage("evaluate", _evaluate, test.labels,
                               member_scores[kind], task.class_count, averaging)
 
     fusions = {}
     for a, b in config.fusion_pairs:
-        name = f"{a}+{b}"
-        if val is not None:
-            # weights chosen on the validation rows, applied to the test rows
-            sel = fusion_mod.grid_search(val_scores[a], val_scores[b], val.labels)
-            fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
-        else:
-            sel = fusion_mod.grid_search(member_scores[a], member_scores[b], test.labels)
-            fused = sel.fused
+        sel = fusion_mod.grid_search(select_scores[a], select_scores[b], select.labels)
+        fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
         report = stage("evaluate", _evaluate, test.labels, fused.scores,
                        task.class_count, averaging)
-        fusions[name] = {
+        fusions[f"{a}+{b}"] = {
             "weights": sel.weights,
             "sweep": [(w.w1, w.w2, acc) for w, acc in sel.sweep],
             "report": report,
@@ -281,6 +265,22 @@ def run_experiment(config: RunConfig) -> RunReport:
     }
     return RunReport(config, members, fusions, member_scores, test.labels.copy(),
                      preprocessing)
+
+
+def _fit_and_score(kind, hp, train, tables, class_count):
+    """Fit kind's scaler and model on train; return the model's scores of each
+    of tables and the scaler document. No fitted model outlives the call."""
+    scaler = stage("scale", fit_scaler, train.rows, SCALER_FOR[kind])
+    model = stage("train", _train_one, kind, hp, apply_scaler(scaler, train.rows),
+                  train.labels, class_count)
+    # one batch per table: SVM scores move in the last bits with the batch
+    scores = [stage("score", model.predict_proba, apply_scaler(scaler, t.rows))
+              for t in tables]
+    return scores, {
+        "kind": scaler.kind,
+        "center": None if scaler.center is None else scaler.center.tolist(),
+        "scale": None if scaler.scale is None else scaler.scale.tolist(),
+    }
 
 
 def _train_one(kind, hp, X, y, class_count):

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from cardiofuse import pipeline
+from cardiofuse import metrics, pipeline
 from cardiofuse.cli import main as cli_main
 from cardiofuse.dataset import bundled_data_path, load_csv
-from cardiofuse.fusion import FusionWeights, decide, fuse
+from cardiofuse.fusion import FusionWeights, decide, fuse, grid_search
+from cardiofuse.hyperparams import SCALER_FOR
 from cardiofuse.pipeline import (ConfigError, RunConfig, child_seed,
                                  emit_report, run_experiment,
                                  validate_against_paper)
@@ -173,11 +174,65 @@ def test_emit_report_replaces_an_earlier_report(tmp_path):
     assert "LR+RF" in json.loads((dest / "report.json").read_text())["fusions"]
 
 
-def test_weight_eval_validation_mode_runs(tmp_path):
-    cfg = small_config(weight_eval_mode="validation",
+def _row_ids(table):
+    """The table with every cell of row i set to i: split and oversample draw
+    from the labels and the row count alone, so they move the ids as they
+    move the rows."""
+    ids = np.arange(table.n_rows, dtype=np.float64)[:, None]
+    return table.replace(rows=np.repeat(ids, table.n_cols, axis=1))
+
+
+def test_weight_eval_validation_mode_runs(monkeypatch):
+    for task in ("binary", "multiclass"):
+        with monkeypatch.context() as patch:
+            _check_validation_mode(patch, task)
+
+
+def _check_validation_mode(monkeypatch, task):
+    """Validation mode picks the weights on held-out training rows, scored by
+    the members fitted on the rest, and fuses the test rows with them."""
+    fits = {}
+    train_one = pipeline._train_one
+
+    def capture(kind, hp, X, y, class_count):
+        fits[kind] = (train_one(kind, hp, X, y, class_count), X, y)
+        return fits[kind][0]
+
+    monkeypatch.setattr(pipeline, "_train_one", capture)
+    cfg = small_config(task=task, weight_eval_mode="validation",
                        fusion_pairs=[("LR", "RF")])
     rep = run_experiment(cfg)
-    assert "LR+RF" in rep.fusions
+
+    # the validation split, recomputed outside the pipeline on row ids
+    table = load_csv(bundled_data_path())
+    table, _ = encode_labels(impute_most_frequent(table))
+    table = derive_task(table, TaskKind(task))
+    train, test = split(_row_ids(table), SplitSpec(0.2, child_seed(3, "split")))
+    train, val = split(train, SplitSpec(cfg.validation_fraction,
+                                        child_seed(3, "weight_eval_split")))
+    if task == "multiclass":
+        train = random_oversample(train, child_seed(3, "oversample"))
+    train_ids, test_ids, val_ids = (t.rows[:, 0].astype(int) for t in (train, test, val))
+    assert not set(val_ids) & set(test_ids)
+    assert not set(val_ids) & set(train_ids)
+    assert np.array_equal(rep.truth, table.labels[test_ids])
+
+    val_scores = {}
+    for kind, (model, X, y) in fits.items():
+        scaler = fit_scaler(table.rows[train_ids], SCALER_FOR[kind])
+        assert np.array_equal(X, apply_scaler(scaler, table.rows[train_ids])), kind
+        assert np.array_equal(y, table.labels[train_ids]), kind
+        val_scores[kind] = model.predict_proba(apply_scaler(scaler, table.rows[val_ids]))
+
+    sel = grid_search(val_scores["LR"], val_scores["RF"], table.labels[val_ids])
+    f = rep.fusions["LR+RF"]
+    assert f["weights"] == sel.weights
+    assert f["sweep"] == [(w.w1, w.w2, acc) for w, acc in sel.sweep]
+    fused = fuse(rep.member_scores["LR"], rep.member_scores["RF"], sel.weights).scores
+    k = TaskKind(task).class_count
+    assert np.array_equal(f["report"].confusion,
+                          metrics.confusion(rep.truth, decide(fused), k).counts)
+    assert f["report"].roc_auc == metrics.roc_auc(rep.truth, fused)[0]
 
 
 def test_validate_against_paper_pass_fail_and_note():
@@ -255,7 +310,10 @@ def test_cli_repeat_reports_mean_and_std(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "across seeds" in out and "+/-" in out
     assert (report_dir / "seed1" / "report.json").exists()
-    assert (report_dir / "seed2" / "report.json").exists()
+    assert cli_main(["run", "--task", "binary", "--seed", "2", "--pairs", "lr+dt",
+                     "--report-dir", str(tmp_path / "single")]) == 0
+    assert ((report_dir / "seed2" / "report.json").read_bytes()
+            == (tmp_path / "single" / "report.json").read_bytes())
 
 
 def test_cli_exit_codes(tmp_path):
@@ -297,6 +355,16 @@ def test_cli_one_row_data_file_is_a_data_error(tmp_path, capsys):
     assert cli_main(["run", "--data", str(one),
                      "--report-dir", str(tmp_path / "rep")]) == 2
     assert "stage 'split'" in capsys.readouterr().err
+    # two rows split into one training row, which the validation split cannot
+    # divide; unstratified, since two rows of two classes cannot be stratified
+    two = tmp_path / "two.data"
+    with open(bundled_data_path(), encoding="utf-8") as fh:
+        two.write_text(fh.readline() + fh.readline())
+    assert cli_main(["run", "--data", str(two), "--unstratified",
+                     "--weight-eval", "validation", "--pairs", "lr+dt",
+                     "--report-dir", str(tmp_path / "rep")]) == 2
+    assert "stage 'weight_eval_split'" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -397,3 +465,48 @@ def test_run_twice_identical_report_bytes(tmp_path):
                 blob += open(os.path.join(root, f), "rb").read()
         digests.append(hashlib.sha256(blob).hexdigest())
     assert digests[0] == digests[1]
+
+
+# sha256 of report.json at the 80:20 split for master seeds 0-4; a change that
+# moves report bytes records the new digests here and says why
+_REPORT_DIGESTS = {
+    ("test", "binary"): [
+        "8e2e5ffa5e125bdc6fdf555b35aff9f1b4defc9406a582e1b2fa70765dd8691e",
+        "6851a8321f4093784a8a93994b6f6b19bb2f6bc68d48ce739f2f3ea1597152ea",
+        "441d513ae600f9ece212958c18492391aa17557bbbd8a91d9ac20fe86d8388f5",
+        "7e86bc405fb793e8e805bf4fd9025ce2a9684dc0d1dfbd1e10c760f21a951cc5",
+        "f411fd8b6f583764cad47681379899bfebd10789e0f1c365e5808668319ed706",
+    ],
+    ("test", "multiclass"): [
+        "73ab607d71183e7b0f19c70e43316254c193cda8f9805add5e8f632e441774bb",
+        "eba4be5010d45986b45dedd8b6cde2ad0a30ef312f312389ccd2fd23939f47f1",
+        "f4589d0e64b79797ba2c364f06845672169b5b5429fb6638991e8b94ef57174c",
+        "6f16fe91226d5c07baec717b635f32fec66200e184ba72366163e9533fd52aaf",
+        "6c8c16faee2b0bafef29515a494b9a39b0d1cc872664d87c34b7dec42ff151c9",
+    ],
+    ("validation", "binary"): [
+        "a364d266cd633bc819e567d2b7fb65290d628e6ea2a83a48cee1bae667c569e7",
+        "8b05e469b5d1e78dceb2d39e3b2f104b5fbda6f026126ae3b652d7e16dc636e0",
+        "41b65cde1a87f542f11df2414bbba145845b2100ecacd3dfe5469c1ba2e995ea",
+        "514efa21078524a91229ee90ae591b4f1e767c2db5eee2cf12320a59a256bea6",
+        "b5a8a2d0cfffcbb2a120ded938168529ce9d7fcf4013f58e9b013e1509a40b62",
+    ],
+    ("validation", "multiclass"): [
+        "ca4faaab0e9ac40fa1cd7ec995ff2914d1a800c6e6d99c5d074c937028d7f9e1",
+        "d6b09dca71baaeef0cd7eb318dc65d73320899699bdcde85a383934e3e633ae3",
+        "b8adcad341d8ca30df34a54c5afa6bcfdcd6522c24898f203bf7a522ca7810a8",
+        "c3f186578173d320b3e93add21394ed211facf0dc994a040e49ad883a54b9be0",
+        "e32a882d57791d9e2891ec1ae1c16c1125716abd40583bcd0eaf6d083f534984",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode, task", sorted(_REPORT_DIGESTS))
+def test_desk_reports_match_pinned_digests(tmp_path, mode, task):
+    digests = []
+    for seed in range(5):
+        out = tmp_path / f"seed{seed}"
+        emit_report(run_experiment(RunConfig(task=task, test_fraction=0.2, master_seed=seed,
+                                             weight_eval_mode=mode)), out)
+        digests.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+    assert digests == _REPORT_DIGESTS[mode, task]
