@@ -45,18 +45,45 @@ class FusedScores:
     weights: FusionWeights
 
 
-def fuse(d1: np.ndarray, d2: np.ndarray, w: FusionWeights) -> FusedScores:
-    """Elementwise weighted sum of two score matrices of identical shape."""
+def _checked_pair(d1, d2) -> tuple[np.ndarray, np.ndarray]:
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
     if d1.shape != d2.shape:
         raise FusionError(f"score shapes differ: {d1.shape} vs {d2.shape}")
+    return d1, d2
+
+
+def _check_finite(*scores: np.ndarray):
+    if not all(np.isfinite(s).all() for s in scores):
+        raise FusionError("scores must be finite")
+
+
+def fuse(d1: np.ndarray, d2: np.ndarray, w: FusionWeights) -> FusedScores:
+    """Elementwise weighted sum of two score matrices of identical shape."""
+    d1, d2 = _checked_pair(d1, d2)
     return FusedScores(w.w1 * d1 + w.w2 * d2, w)
+
+
+def _first_max(s: np.ndarray) -> np.ndarray:
+    """Index of each row's first maximum, scanning columns: a later column wins
+    only when strictly greater. Equals np.argmax(s, axis=1) on finite scores;
+    two columns give a boolean array."""
+    if s.shape[1] == 2:
+        return s[:, 1] > s[:, 0]
+    pred = np.zeros(s.shape[0], dtype=np.int64)
+    best = s[:, 0].copy()
+    for j in range(1, s.shape[1]):
+        col = s[:, j]
+        pred[col > best] = j
+        np.maximum(best, col, out=best)
+    return pred
 
 
 def decide(scores: np.ndarray) -> np.ndarray:
     """Predicted class per row: index of the maximum entry, ties to the lowest index."""
-    return np.argmax(np.asarray(scores), axis=1).astype(np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    _check_finite(scores)
+    return _first_max(scores).astype(np.int64, copy=False)
 
 
 @dataclass
@@ -67,22 +94,33 @@ class GridSearchResult:
     sweep: list[tuple[FusionWeights, float]] = field(default_factory=list)
 
 
+def _sweep(d1: np.ndarray, d2: np.ndarray, truth: np.ndarray) -> list[tuple[FusionWeights, float]]:
+    """Accuracy at every grid weight. Each point fuses into one reused buffer
+    with the same two products and one add per element as `fuse`."""
+    fused, part = np.empty_like(d1), np.empty_like(d1)
+    sweep = []
+    for w in weight_grid():
+        np.multiply(d1, w.w1, out=fused)
+        np.multiply(d2, w.w2, out=part)
+        fused += part
+        sweep.append((w, np.count_nonzero(_first_max(fused) == truth) / len(truth)))
+    return sweep
+
+
 def grid_search(d1: np.ndarray, d2: np.ndarray, truth) -> GridSearchResult:
     """Evaluate every grid weight and return the accuracy-maximizing fusion.
 
     Ties are broken by the earliest grid entry (largest w1). The full sweep
     of per-weight accuracies is kept for reporting.
     """
+    d1, d2 = _checked_pair(d1, d2)
+    _check_finite(d1, d2)
     truth = np.asarray(truth, dtype=np.int64)
-    if truth.shape[0] != np.asarray(d1).shape[0]:
+    if truth.shape[0] != d1.shape[0]:
         raise FusionError("truth length does not match score rows")
+    if truth.shape[0] == 0:
+        raise FusionError("no rows to select weights on")
 
-    best = None
-    sweep = []
-    for w in weight_grid():
-        fused = fuse(d1, d2, w)
-        acc = float(np.mean(decide(fused.scores) == truth))
-        sweep.append((w, acc))
-        if best is None or acc > best[1]:
-            best = (fused, acc)
-    return GridSearchResult(best[0].weights, best[0], best[1], sweep)
+    sweep = _sweep(d1, d2, truth)
+    weights, best = max(sweep, key=lambda point: point[1])   # the first maximum
+    return GridSearchResult(weights, fuse(d1, d2, weights), best, sweep)

@@ -70,9 +70,8 @@ def confusion(truth, pred, k: int) -> ConfusionMatrix:
     for name, arr in (("truth", truth), ("prediction", pred)):
         if arr.min() < 0 or arr.max() >= k:
             raise MetricError(f"{name} labels outside [0, {k})")
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (truth, pred), 1)
-    return ConfusionMatrix(counts)
+    counts = np.bincount(truth * k + pred, minlength=k * k).astype(np.int64, copy=False)
+    return ConfusionMatrix(counts.reshape(k, k))
 
 
 def scalar_metrics(cm: ConfusionMatrix, mode: str = "macro") -> dict[str, float]:
@@ -117,10 +116,11 @@ def _binary_roc(truth: np.ndarray, score: np.ndarray):
     n_neg = len(truth) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None, None
-    order = np.argsort(-score, kind="stable")
+    # tied scores step together: tps and the thresholds are read only at the
+    # end of each tie group, so the order inside a group reaches no output
+    order = np.argsort(-score)
     s = score[order]
     t = truth[order]
-    # group tied scores so they step simultaneously
     distinct = np.flatnonzero(np.diff(s)) + 1
     bounds = np.concatenate([distinct, [len(s)]])
     tps = np.cumsum(t)[bounds - 1]
@@ -148,6 +148,8 @@ def roc_auc(truth, scores) -> tuple[float, dict[int, list[tuple[float, float, fl
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] != truth.shape[0]:
         raise MetricError("scores must be (n_samples, n_classes) aligned with truth")
+    if not np.isfinite(scores).all():
+        raise MetricError("scores must be finite")
     k = scores.shape[1]
 
     if k == 2:

@@ -144,8 +144,10 @@ class ProbabilisticClassifier:
             raise ShapeError(
                 f"row width {X.shape[1]} does not match training width {self.n_features_}")
         with one_blas_thread:
-            p = self._scores(X)
-        return np.asarray(p, dtype=np.float64)
+            p = np.asarray(self._scores(X), dtype=np.float64)
+        if not np.isfinite(p).all():
+            raise ModelError(f"{self.kind} model produced non-finite scores")
+        return p
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)

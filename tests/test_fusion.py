@@ -113,3 +113,21 @@ def test_fusion_symmetric_in_members():
     a = fuse(d1, d2, FusionWeights(0.7, 1.0 - 0.7)).scores
     b = fuse(d2, d1, FusionWeights(1.0 - 0.7, 0.7)).scores
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_rejected(bad):
+    d = np.array([[0.6, 0.4], [0.3, 0.7]])
+    broken = d.copy()
+    broken[1, 0] = bad
+    with pytest.raises(FusionError, match="finite"):
+        decide(broken)
+    with pytest.raises(FusionError, match="finite"):
+        grid_search(broken, d, [0, 1])
+    with pytest.raises(FusionError, match="finite"):
+        grid_search(d, broken, [0, 1])
+
+
+def test_grid_search_needs_rows():
+    with pytest.raises(FusionError, match="no rows"):
+        grid_search(np.zeros((0, 2)), np.zeros((0, 2)), [])

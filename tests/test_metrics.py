@@ -182,3 +182,8 @@ def test_multiclass_auc_warns_on_absent_class():
         auc, curves = roc_auc(truth, scores)
     assert 2 not in curves
     assert 0.0 <= auc <= 1.0
+
+
+def test_roc_rejects_non_finite_scores():
+    with pytest.raises(MetricError, match="finite"):
+        roc_auc([0, 1, 1], np.array([[0.5, 0.5], [np.nan, 0.2], [0.1, 0.9]]))

@@ -333,6 +333,24 @@ def test_cli_exit_codes(tmp_path):
                      "--report-dir", str(tmp_path / "rep")]) == 3
 
 
+def test_cli_non_finite_member_scores_are_a_training_error(tmp_path, capsys, monkeypatch):
+    from cardiofuse.models import MLPClassifier
+    scores = MLPClassifier._scores
+
+    def nan_in_row_0(self, X):
+        p = scores(self, X)
+        p[0] = np.nan
+        return p
+
+    monkeypatch.setattr(MLPClassifier, "_scores", nan_in_row_0)
+    out = tmp_path / "rep"
+    assert cli_main(["run", "--task", "binary", "--seed", "0", "--pairs", "ann+lr",
+                     "--report-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'score'" in err and "ANN model produced non-finite scores" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("hyperparams, message", [
     ({"RF": {"bogus": 1}}, "RF has no parameter 'bogus'"),
     ({"XX": {"C": 1}}, "unknown model kind 'XX'"),
@@ -501,12 +519,60 @@ _REPORT_DIGESTS = {
 }
 
 
+# sha256 over every file of the same report directories (report.json,
+# summary.md, summary.csv and roc/*.csv), as `_directory_digest` reads them
+_DIRECTORY_DIGESTS = {
+    ("test", "binary"): [
+        "f1b3d17d35b4e10193b4b123a1b8db6ffad1be1c3601955d4cb0eb326f41f645",
+        "a3e7ae60a3b92e34b40a063b063e1bdd5e9a33f3ff0d0f12c82f85c2af1e864e",
+        "a2db539c615c2f7a7f1b9da94ebc49b57220958f4fd43ffeb1471a627890ffa3",
+        "eb1df0e1ccc9e1302aa833905ab65d0cf83efe5429ac27c2254cd0cfd89b52a1",
+        "b4a469e83b6a1fa587537600e94fd00ffd26ee9a7abe865d35f86f47872ea17a",
+    ],
+    ("test", "multiclass"): [
+        "2ae220fa611847f2d70e540750458aee099d0d39bb2e253468085f1c7af8dd9c",
+        "837eaa485ba388fd508a5acc41d1d3c6027c73cb23e3f8e071df15b1581165c6",
+        "7335e35cf8d45bdaba3e0ce443c092a8171fd5ac22eb9b2883605a2ba7324776",
+        "ff170a4171ebd03668113a822fa64872eb094c7d09e8bbe09571c23463dc0b24",
+        "cd6af3fc07dc0d1b62a825785820271eceae026aa59644d52228cc350efce6c4",
+    ],
+    ("validation", "binary"): [
+        "63f45d3bbf313485a65455607f3714558e8bb594e88e519cec2b6509b953e4aa",
+        "42787459cc3d99aa4b01d115ebd67f103a489d5c27dabd809c0fb0107aec924a",
+        "1ccd345be9ee6014d8d079b10b95baa0ca1bef020f247dd371bbe8571e9b791b",
+        "d6d3ccaca5cb772823c4dc4db70a087f041c5f45c79e448e1c73634653a600f5",
+        "fbe2dcaa4e702c002b8444b906fdc8fa707b07cee4f476c470a508603f4c7c98",
+    ],
+    ("validation", "multiclass"): [
+        "aecab4e45ac32e28dee48da7d74c623a90f703f39c45461762240dbc7b970327",
+        "91d8a3c47798a805eb4b7ff0920829c18f5c3fdf331da73e7fbc196e0be80411",
+        "1bc540bfed97e2ba0b7eecdea01fed0802f3fd7356a6e0c66aaf7aa384bd8f2c",
+        "8a5145efff69bab90d6402fc5bc65e283ad1f736039c02fc0647c61eef3fce9b",
+        "6030cf67add5287c09df17ac9dc39ab709d04005719cb7924d4945ac875bbfd1",
+    ],
+}
+
+
+def _directory_digest(root):
+    """One sha256 over every file under root, in sorted relative-path order;
+    each file contributes its path and length, then its bytes."""
+    h = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(root).as_posix(), p)
+                            for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("mode, task", sorted(_REPORT_DIGESTS))
 def test_desk_reports_match_pinned_digests(tmp_path, mode, task):
-    digests = []
+    digests, directories = [], []
     for seed in range(5):
         out = tmp_path / f"seed{seed}"
         emit_report(run_experiment(RunConfig(task=task, test_fraction=0.2, master_seed=seed,
                                              weight_eval_mode=mode)), out)
         digests.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+        directories.append(_directory_digest(out))
     assert digests == _REPORT_DIGESTS[mode, task]
+    assert directories == _DIRECTORY_DIGESTS[mode, task]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cardiofuse.dataset import (DataTable, ParseError, SchemaViolation, bundled_data_path,
                                 cleveland_schema, load_csv)
+from cardiofuse.fusion import decide, fuse, grid_search, weight_grid
+from cardiofuse.metrics import confusion, roc_auc
 from cardiofuse.models import MODEL_KINDS, ProbabilisticClassifier, make_model
 from cardiofuse.preprocess import SplitSpec, random_oversample, split
 
@@ -135,3 +137,91 @@ def test_loader_accepts_a_mutated_file_or_raises_a_data_error(edits, keep):
         return
     assert 1 <= table.n_rows <= keep and table.rows.shape == (table.n_rows, 13)
     assert np.isfinite(table.rows[~table.missing_mask]).all()
+
+
+# integer-valued scores over a few values, so that tied entries are common
+_seed, _k, _top = st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 4)
+
+
+def _integer_scores(rng, n, k, top):
+    return rng.integers(-top, top + 1, size=(n, k)).astype(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_seed, n=st.integers(1, 40), k=_k, top=_top)
+def test_decide_is_the_first_argmax(seed, n, k, top):
+    scores = _integer_scores(np.random.default_rng(seed), n, k, top)
+    pred = decide(scores)
+    assert pred.dtype == np.int64
+    assert np.array_equal(pred, np.argmax(scores, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_seed, n=st.integers(1, 40), k=_k, top=_top)
+def test_grid_search_equals_the_per_weight_loop(seed, n, k, top):
+    rng = np.random.default_rng(seed)
+    d1, d2 = _integer_scores(rng, n, k, top), _integer_scores(rng, n, k, top)
+    truth = rng.integers(0, k, n)
+    res = grid_search(d1, d2, truth)
+    best, sweep = None, []
+    for w in weight_grid():
+        fused = fuse(d1, d2, w)
+        acc = float(np.mean(np.argmax(fused.scores, axis=1) == truth))
+        sweep.append((w, acc))
+        if best is None or acc > best[1]:
+            best = (fused, acc)
+    assert res.sweep == sweep
+    assert res.weights == best[0].weights and res.best_criterion == best[1]
+    assert res.fused.weights == best[0].weights
+    assert res.fused.scores.tobytes() == best[0].scores.tobytes()
+
+
+def _roc_by_counting(truth, scores):
+    """Curves and macro AUC that count the rows at or above each distinct
+    score, which is what a stable sort with tie groups yields."""
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    columns = [1] if scores.shape[1] == 2 else range(scores.shape[1])
+    aucs, curves = [], {}
+    for c in columns:
+        pos, neg = scores[truth == c, c], scores[truth != c, c]
+        if len(pos) == 0 or len(neg) == 0:
+            continue
+        points = [(0.0, 0.0, np.inf)]
+        for v in np.unique(scores[:, c])[::-1]:
+            points.append((np.count_nonzero(neg >= v) / len(neg),
+                           np.count_nonzero(pos >= v) / len(pos), float(v)))
+        if points[-1][:2] != (1.0, 1.0):
+            points.append((1.0, 1.0, -np.inf))
+        fpr, tpr, _ = zip(*points)
+        aucs.append(float(trapezoid(tpr, fpr)))
+        curves[c] = points
+    return aucs, curves
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_seed, n=st.integers(2, 40), k=_k, top=_top)
+def test_roc_ignores_the_order_of_tied_rows(seed, n, k, top):
+    rng = np.random.default_rng(seed)
+    scores = _integer_scores(rng, n, k, top)
+    truth = rng.integers(0, k, n)
+    truth[:2] = [0, 1]
+    aucs, curves = _roc_by_counting(truth, scores)
+    perm = rng.permutation(n)
+    with warnings.catch_warnings():
+        # classes absent from the truth are left out with a warning
+        warnings.simplefilter("ignore", UserWarning)
+        auc, got = roc_auc(truth, scores)
+        auc_shuffled, got_shuffled = roc_auc(truth[perm], scores[perm])
+    assert got == got_shuffled == curves
+    assert auc == auc_shuffled == float(np.mean(aucs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_seed, n=st.integers(1, 40), k=st.integers(1, 5))
+def test_confusion_counts_every_pair(seed, n, k):
+    rng = np.random.default_rng(seed)
+    truth, pred = rng.integers(0, k, n), rng.integers(0, k, n)
+    counts = np.zeros((k, k), dtype=np.int64)
+    np.add.at(counts, (truth, pred), 1)
+    cm = confusion(truth, pred, k)
+    assert cm.counts.dtype == np.int64 and np.array_equal(cm.counts, counts)
