@@ -23,19 +23,9 @@ from .pipeline import (DATA_STAGES, ConfigError, PipelineError, RunConfig,
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_TRAINING = 0, 1, 2, 3
 
 
-def _parse_pairs(text: str) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split("+")
-        if len(parts) != 2:
-            raise ConfigError(f"bad fusion pair {chunk!r}; expected e.g. ann+rf")
-        pairs.append((parts[0].upper(), parts[1].upper()))
-    if not pairs:
-        raise ConfigError("no fusion pairs given")
-    return pairs
+def _parse_pairs(text: str) -> list[list[str]]:
+    """Split "ann+rf,svm+lr" into [["ann", "rf"], ["svm", "lr"]]; RunConfig validates them."""
+    return [chunk.strip().split("+") for chunk in text.split(",") if chunk.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +78,7 @@ def _config_from_args(args) -> RunConfig:
     flags = {"data_path": args.data, "schema_path": args.schema, "task": args.task,
              "test_fraction": args.test_fraction, "master_seed": args.seed,
              "report_dir": args.report_dir, "weight_eval_mode": args.weight_eval,
-             "fusion_pairs": _parse_pairs(args.pairs) if args.pairs else None,
+             "fusion_pairs": None if args.pairs is None else _parse_pairs(args.pairs),
              "stratified": False if args.unstratified else None,
              "has_header": True if args.has_header else None}
     cfg.update({name: value for name, value in flags.items() if value is not None})
@@ -97,15 +87,17 @@ def _config_from_args(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
+    if args.repeat < 1:
+        raise ConfigError(f"--repeat must be at least 1, not {args.repeat}")
     config = _config_from_args(args)
     started = time.strftime("%Y-%m-%d %H:%M:%S")
     print(f"run started {started}; config hash {config.config_hash()}")
 
     accs: dict[str, list[float]] = {}
-    for rep_i in range(max(1, args.repeat)):
+    for rep_i in range(args.repeat):
         cfg = dataclasses.replace(config, master_seed=config.master_seed + rep_i)
         report = run_experiment(cfg)
-        out_dir = (cfg.report_dir if args.repeat <= 1
+        out_dir = (cfg.report_dir if args.repeat == 1
                    else os.path.join(cfg.report_dir, f"seed{cfg.master_seed}"))
         written = emit_report(report, out_dir)
         print(f"seed {cfg.master_seed}: wrote {len(written)} files to {out_dir}")

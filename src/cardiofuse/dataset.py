@@ -74,30 +74,24 @@ VALID_LABELS = frozenset({0, 1, 2, 3, 4})
 
 @dataclass
 class DataTable:
-    """Rectangular feature matrix with labels, schema and missing-cell mask.
+    """Rectangular feature matrix with labels and schema.
 
-    Missing cells hold NaN in ``rows``; ``missing_mask`` is authoritative.
+    A missing cell holds NaN in ``rows``, and NaN marks nothing else.
     Instances are treated as read-only once constructed.
     """
 
     rows: np.ndarray          # (n, d) float64
     labels: np.ndarray        # (n,) int64
     schema: list[AttributeSpec] = field(default_factory=cleveland_schema)
-    missing_mask: np.ndarray = None  # (n, d) bool
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.missing_mask is None:
-            self.missing_mask = np.isnan(self.rows)
-        self.missing_mask = np.asarray(self.missing_mask, dtype=bool)
         n, d = self.rows.shape
         if d != len(self.schema):
             raise ValueError(f"rows have {d} columns, schema has {len(self.schema)}")
         if len(self.labels) != n:
             raise ValueError(f"{len(self.labels)} labels for {n} rows")
-        if self.missing_mask.shape != (n, d):
-            raise ValueError("missing_mask shape mismatch")
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names in schema")
@@ -119,19 +113,17 @@ class DataTable:
                 return j
         raise KeyError(name)
 
-    def replace(self, rows=None, labels=None, missing_mask=None) -> "DataTable":
+    def replace(self, rows=None, labels=None) -> "DataTable":
         """Copy of this table with selected parts swapped out."""
         return DataTable(
             rows=self.rows if rows is None else rows,
             labels=self.labels if labels is None else labels,
             schema=self.schema,
-            missing_mask=self.missing_mask if missing_mask is None else missing_mask,
         )
 
     def take(self, idx) -> "DataTable":
         idx = np.asarray(idx)
-        return DataTable(self.rows[idx], self.labels[idx], self.schema,
-                         self.missing_mask[idx])
+        return DataTable(self.rows[idx], self.labels[idx], self.schema)
 
 
 def bundled_data_path():
@@ -140,9 +132,10 @@ def bundled_data_path():
 
 
 def load_csv(path, schema: list[AttributeSpec] | None = None,
-             missing_token: str = "?", has_header: bool = False) -> DataTable:
+             has_header: bool = False) -> DataTable:
     """Parse a Cleveland-format file into a schema-checked DataTable.
 
+    A ``?`` cell becomes NaN; any other non-finite token is a ParseError.
     Raises ParseError for malformed records (with the 1-based row index) and
     SchemaViolation when a categorical cell holds a code the schema does not
     allow. Labels are parsed as floats and truncated toward zero, since some
@@ -157,16 +150,15 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
     if has_header and lines:
         lines = lines[1:]
 
-    rows, labels, mask = [], [], []
+    rows, labels = [], []
     for i, line in enumerate(lines, start=1):
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != d + 1:
             raise ParseError(f"row {i}: expected {d + 1} fields, got {len(parts)}")
-        vec, miss = [], []
-        for j, (tok, attr) in enumerate(zip(parts[:-1], schema)):
-            if tok == missing_token:
+        vec = []
+        for tok, attr in zip(parts[:-1], schema):
+            if tok == "?":
                 vec.append(np.nan)
-                miss.append(True)
                 continue
             try:
                 val = float(tok)
@@ -179,7 +171,6 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
                     f"row {i}, column {attr.name}: code {tok} not in "
                     f"{sorted(attr.allowed_values)}")
             vec.append(val)
-            miss.append(False)
         tok = parts[-1]
         try:
             lab = float(tok)
@@ -192,11 +183,10 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
             raise SchemaViolation(f"row {i}: label {lab} outside {sorted(VALID_LABELS)}")
         rows.append(vec)
         labels.append(lab)
-        mask.append(miss)
 
     if not rows:
         raise ParseError("no records found")
-    return DataTable(np.array(rows), np.array(labels), schema, np.array(mask))
+    return DataTable(np.array(rows), np.array(labels), schema)
 
 
 def _read_text(path) -> str:
@@ -218,7 +208,7 @@ def summarize(table: DataTable) -> dict:
     out = {}
     for j, attr in enumerate(table.schema):
         col = table.rows[:, j]
-        ok = ~table.missing_mask[:, j]
+        ok = ~np.isnan(col)
         if not ok.any():
             raise SummaryError(f"column {attr.name} is entirely missing")
         vals = col[ok]

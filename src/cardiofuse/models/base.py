@@ -8,7 +8,6 @@ scores run on one BLAS thread (``one_blas_thread``).
 from __future__ import annotations
 
 import functools
-import json
 import threading
 
 import numpy as np
@@ -185,10 +184,6 @@ class ProbabilisticClassifier:
             "params": self._params_to_dict(),
         }
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f)
-
     @staticmethod
     def from_dict(doc: dict) -> "ProbabilisticClassifier":
         from . import make_model  # registry lives in the package init
@@ -201,10 +196,10 @@ class ProbabilisticClassifier:
         model.fitted = True
         return model
 
-    @staticmethod
-    def load(path) -> "ProbabilisticClassifier":
-        with open(path, "r", encoding="utf-8") as f:
-            return ProbabilisticClassifier.from_dict(json.load(f))
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function; z is clipped to +-500 so exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DivergenceError, ProbabilisticClassifier, one_hot, softmax
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+from .base import DivergenceError, ProbabilisticClassifier, one_hot, sigmoid, softmax
 
 
 class LogisticRegressionClassifier(ProbabilisticClassifier):
@@ -37,7 +33,7 @@ class LogisticRegressionClassifier(ProbabilisticClassifier):
         lam = float(np.linalg.eigvalsh((X.T @ X) / n)[-1])
         lr = 1.0 / (0.25 * lam + 1.0 / (self.C * n) + 1e-12)
         # binary: one sigmoid unit, W (d,) and b 0-d; else softmax, W (d, k) and b (k,)
-        link, Y = (_sigmoid, y) if k == 2 else (softmax, one_hot(y, k))
+        link, Y = (sigmoid, y) if k == 2 else (softmax, one_hot(y, k))
         W, b = np.zeros((d, *Y.shape[1:])), np.zeros(Y.shape[1:])
         for _ in range(self.max_iter):
             p = link(X @ W + b)
@@ -55,12 +51,9 @@ class LogisticRegressionClassifier(ProbabilisticClassifier):
     def _scores(self, X):
         z = X @ self.w_ + self.b_
         if self.class_count_ == 2:
-            p1 = _sigmoid(z)
+            p1 = sigmoid(z)
             return np.column_stack([1.0 - p1, p1])
         return softmax(z)
-
-    def weight_norm(self) -> float:
-        return float(np.sqrt((np.asarray(self.w_) ** 2).sum()))
 
     def _state_to_dict(self):
         # a binary model's 0-d b lists as a float

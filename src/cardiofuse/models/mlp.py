@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DivergenceError, ProbabilisticClassifier, one_hot, softmax
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+from .base import DivergenceError, ProbabilisticClassifier, one_hot, sigmoid, softmax
 
 
 class MLPClassifier(ProbabilisticClassifier):
@@ -43,7 +39,7 @@ class MLPClassifier(ProbabilisticClassifier):
         self.b2 = np.zeros(k)
 
     def _forward(self, X):
-        hidden = _sigmoid(X @ self.W1 + self.b1)
+        hidden = sigmoid(X @ self.W1 + self.b1)
         probs = softmax(hidden @ self.W2 + self.b2)
         return hidden, probs
 

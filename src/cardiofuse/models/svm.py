@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .base import ProbabilisticClassifier, one_blas_thread
+from .base import ProbabilisticClassifier, one_blas_thread, sigmoid
 
 
 def rbf_kernel(A, B, gamma):
@@ -136,8 +136,7 @@ def fit_platt(decision: np.ndarray, target01: np.ndarray, max_iter=100):
     t = np.where(t01 > 0, (n1 + 1.0) / (n1 + 2.0), 1.0 / (n0 + 2.0))
     A, B = 0.0, float(np.log((n0 + 1.0) / (n1 + 1.0)))
     for _ in range(max_iter):
-        z = np.clip(A * f + B, -500, 500)
-        p = 1.0 / (1.0 + np.exp(z))
+        p = sigmoid(-(A * f + B))
         gA = float(((t - p) * f).sum())
         gB = float((t - p).sum())
         w = np.maximum(p * (1.0 - p), 1e-12)
@@ -157,7 +156,7 @@ def fit_platt(decision: np.ndarray, target01: np.ndarray, max_iter=100):
 
 
 def platt_prob(A, B, f):
-    return 1.0 / (1.0 + np.exp(np.clip(A * np.asarray(f) + B, -500, 500)))
+    return sigmoid(-(A * np.asarray(f) + B))
 
 
 class SVMClassifier(ProbabilisticClassifier):
@@ -222,9 +221,8 @@ class SVMClassifier(ProbabilisticClassifier):
         probs = np.column_stack([
             platt_prob(mach["A"], mach["B"], self.decision_function(X, i))
             for i, mach in enumerate(self.machines_)])
-        s = probs.sum(axis=1, keepdims=True)
-        out = np.where(s > 0, probs / np.where(s == 0, 1.0, s), 1.0 / k)
-        return out
+        # every Platt probability is at least 1/(1+e^500) > 0, so no row sums to 0
+        return probs / probs.sum(axis=1, keepdims=True)
 
     def _state_to_dict(self):
         return {

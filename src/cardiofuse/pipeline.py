@@ -105,8 +105,9 @@ class RunConfig:
             raise ConfigError(f"unknown weight_eval_mode {self.weight_eval_mode!r}")
         if self.fusion_pairs is None:
             self.fusion_pairs = list(DEFAULT_PAIRS[self.task])
-        if not isinstance(self.fusion_pairs, (list, tuple)):
-            raise ConfigError("fusion_pairs must be a list of model-kind pairs")
+        if not isinstance(self.fusion_pairs, (list, tuple)) or not self.fusion_pairs:
+            raise ConfigError("fusion_pairs must be a list of at least one model-kind pair, "
+                              f"not {self.fusion_pairs!r}")
         pairs = []
         for pair in self.fusion_pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2

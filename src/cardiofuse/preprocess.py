@@ -26,10 +26,6 @@ class ResampleError(PreprocessError):
     pass
 
 
-class ScalerUsageError(PreprocessError):
-    pass
-
-
 def impute_most_frequent(table: DataTable) -> DataTable:
     """Replace every missing cell with its column's modal non-missing value.
 
@@ -38,7 +34,7 @@ def impute_most_frequent(table: DataTable) -> DataTable:
     """
     rows = table.rows.copy()
     for j in range(table.n_cols):
-        miss = table.missing_mask[:, j]
+        miss = np.isnan(rows[:, j])
         if not miss.any():
             continue
         ok = ~miss
@@ -47,8 +43,7 @@ def impute_most_frequent(table: DataTable) -> DataTable:
         vals, counts = np.unique(rows[ok, j], return_counts=True)
         mode = vals[counts == counts.max()].min()
         rows[miss, j] = mode
-    mask = np.zeros_like(table.missing_mask)
-    return table.replace(rows=rows, missing_mask=mask)
+    return table.replace(rows=rows)
 
 
 def encode_labels(table: DataTable) -> tuple[DataTable, dict[str, dict[float, int]]]:
@@ -57,7 +52,7 @@ def encode_labels(table: DataTable) -> tuple[DataTable, dict[str, dict[float, in
     Returns the encoded table and the per-column code map for round-trips.
     Must run after imputation (missing cells would corrupt the mapping).
     """
-    if table.missing_mask.any():
+    if np.isnan(table.rows).any():
         raise PreprocessError("encode_labels requires an imputed table")
     rows = table.rows.copy()
     code_maps: dict[str, dict[float, int]] = {}
@@ -78,15 +73,13 @@ class ScalerParams:
     kind: str                      # "zscore" | "minmax" | "none"
     center: np.ndarray = None      # mean (zscore) or min (minmax)
     scale: np.ndarray = None       # std (zscore) or max-min (minmax)
-    degenerate: np.ndarray = None  # columns with zero spread
-    fitted: bool = False
 
 
 def fit_scaler(train_rows: np.ndarray, kind: str) -> ScalerParams:
     """Fit z-score or min-max statistics on training rows only."""
     x = np.asarray(train_rows, dtype=np.float64)
     if kind == "none":
-        return ScalerParams("none", fitted=True)
+        return ScalerParams("none")
     if kind == "zscore":
         center = x.mean(axis=0)
         scale = x.std(axis=0)  # population std
@@ -95,20 +88,17 @@ def fit_scaler(train_rows: np.ndarray, kind: str) -> ScalerParams:
         scale = x.max(axis=0) - center
     else:
         raise ValueError(f"unknown scaler kind {kind!r}")
-    degenerate = scale == 0
-    return ScalerParams(kind, center, scale, degenerate, fitted=True)
+    return ScalerParams(kind, center, scale)
 
 
 def apply_scaler(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
     """Transform rows with fitted statistics; degenerate columns map to 0."""
-    if not params.fitted:
-        raise ScalerUsageError("scaler has not been fitted")
     x = np.asarray(rows, dtype=np.float64)
     if params.kind == "none":
         return x.copy()
-    safe = np.where(params.degenerate, 1.0, params.scale)
-    out = (x - params.center) / safe
-    out[:, params.degenerate] = 0.0
+    degenerate = params.scale == 0
+    out = (x - params.center) / np.where(degenerate, 1.0, params.scale)
+    out[:, degenerate] = 0.0
     return out
 
 

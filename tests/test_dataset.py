@@ -26,7 +26,7 @@ def test_single_full_row(tmp_path):
     f.write_text(FULL_ROW + "\n")
     t = load_csv(f)
     assert t.n_rows == 1
-    assert not t.missing_mask.any()
+    assert not np.isnan(t.rows).any()
 
 
 def test_missing_ca_cell(tmp_path):
@@ -35,8 +35,7 @@ def test_missing_ca_cell(tmp_path):
     f = tmp_path / "row.data"
     f.write_text(ROW_MISSING_CA + "\n")
     t = load_csv(f)
-    assert t.missing_mask.sum() == 1
-    assert t.missing_mask[0, t.column("Ca")]
+    assert np.isnan(t.rows).sum() == 1
     assert np.isnan(t.rows[0, t.column("Ca")])
 
 
@@ -86,7 +85,6 @@ def test_load_is_deterministic():
     b = load_csv(bundled_data_path())
     assert np.array_equal(a.rows, b.rows, equal_nan=True)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.missing_mask, b.missing_mask)
 
 
 def test_missing_cells_only_in_ca_and_thal(cleveland):
@@ -97,7 +95,7 @@ def test_missing_cells_only_in_ca_and_thal(cleveland):
     assert len(positions) == 6
     ca, thal = cleveland.column("Ca"), cleveland.column("Thal")
     assert all(j in (ca, thal) for _, j in positions)
-    got = {(i, j) for i, j in zip(*np.nonzero(cleveland.missing_mask))}
+    got = {(i, j) for i, j in zip(*np.nonzero(np.isnan(cleveland.rows)))}
     assert got == set(positions)
 
 
@@ -161,7 +159,7 @@ def test_full_categorical_distribution(cleveland):
     }
     for name, counts in expected.items():
         j = cleveland.column(name)
-        col = cleveland.rows[~cleveland.missing_mask[:, j], j]
+        col = cleveland.rows[~np.isnan(cleveland.rows[:, j]), j]
         got = {int(v): int(c) for v, c in zip(*np.unique(col, return_counts=True))}
         assert got == counts, name
     labels = {i: int(c) for i, c in enumerate(np.bincount(cleveland.labels))}

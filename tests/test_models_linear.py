@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cardiofuse.models import (LogisticRegressionClassifier, SVMClassifier,
+from cardiofuse.models import (LogisticRegressionClassifier, ModelError, SVMClassifier,
                                NotFittedError, ProbabilisticClassifier, ShapeError)
 from cardiofuse.models.base import one_blas_thread
 from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
@@ -45,7 +45,7 @@ def test_lr_stronger_regularization_shrinks_weights():
     X, y = separable_set(rng, 40)
     loose = LogisticRegressionClassifier(C=1.0).fit(X, y)
     tight = LogisticRegressionClassifier(C=0.001).fit(X, y)
-    assert tight.weight_norm() < loose.weight_norm()
+    assert np.linalg.norm(tight.w_) < np.linalg.norm(loose.w_)
 
 
 def test_lr_decision_boundary_is_half_half():
@@ -124,6 +124,19 @@ def test_svm_multiclass_one_vs_rest_scores():
     assert p.shape == (10, 5)
     assert np.abs(p.sum(axis=1) - 1).max() < 1e-9
     assert len(m.machines_) == 5
+
+
+def test_a_nan_row_is_an_error_for_every_linear_model():
+    # one-vs-rest normalisation must not turn a NaN row into a uniform row
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(80, 3))
+    nan_row = np.array([[np.nan, 0.0, 0.0]])
+    for y in (rng.integers(0, 2, 80), rng.integers(0, 5, 80)):
+        for m in (LogisticRegressionClassifier(), SVMClassifier(kernel="linear"),
+                  SVMClassifier(kernel="rbf")):
+            m.fit(X, y)
+            with pytest.raises(ModelError, match="non-finite scores"):
+                m.predict_proba(nan_row)
 
 
 def test_platt_fit_is_monotone_and_calibrated():

@@ -63,6 +63,11 @@ def test_unknown_pair_kind_rejected():
         RunConfig(fusion_pairs=[("LR", "XGB")])
 
 
+def test_empty_pair_list_rejected():
+    with pytest.raises(ConfigError, match="fusion_pairs must be a list"):
+        RunConfig(fusion_pairs=[])
+
+
 def test_child_seeds_are_stable_and_distinct():
     assert child_seed(1, "split") == child_seed(1, "split")
     assert child_seed(1, "split") != child_seed(2, "split")
@@ -351,6 +356,36 @@ def test_cli_non_finite_member_scores_are_a_training_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_cli_multiclass_svm_nan_scores_are_a_training_error(tmp_path, capsys, monkeypatch):
+    from cardiofuse.models import SVMClassifier
+    decision = SVMClassifier.decision_function
+
+    def nan_in_row_0(self, X, machine=0):
+        f = decision(self, X, machine)
+        f[0] = np.nan
+        return f
+
+    monkeypatch.setattr(SVMClassifier, "decision_function", nan_in_row_0)
+    out = tmp_path / "rep"
+    assert cli_main(["run", "--task", "multiclass", "--seed", "0", "--pairs", "svm+lr",
+                     "--report-dir", str(out)]) == 3
+    assert "SVM model produced non-finite scores" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pairs", ","], "fusion_pairs must be a list"),
+    (["--pairs", ""], "fusion_pairs must be a list"),
+    (["--pairs", "lr+dt", "--repeat", "0"], "--repeat must be at least 1, not 0"),
+    (["--pairs", "lr+dt", "--repeat", "-2"], "--repeat must be at least 1, not -2"),
+])
+def test_cli_rejects_empty_pairs_and_bad_repeat_counts(tmp_path, capsys, argv, message):
+    out = tmp_path / "rep"
+    assert cli_main(["run", *argv, "--report-dir", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("hyperparams, message", [
     ({"RF": {"bogus": 1}}, "RF has no parameter 'bogus'"),
     ({"XX": {"C": 1}}, "unknown model kind 'XX'"),
@@ -428,6 +463,7 @@ def test_cli_config_file_carries_every_field(tmp_path):
     ({"fusion_pairs": [["ANN", "RF", "LR"]]}, "bad fusion pair ['ANN', 'RF', 'LR']"),
     ({"fusion_pairs": [["ANN", 1]]}, "bad fusion pair ['ANN', 1]"),
     ({"fusion_pairs": 3}, "fusion_pairs must be a list"),
+    ({"fusion_pairs": []}, "fusion_pairs must be a list"),
 ])
 def test_cli_rejects_malformed_config_files(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -485,36 +521,65 @@ def test_run_twice_identical_report_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
-# sha256 of report.json at the 80:20 split for master seeds 0-4; a change that
-# moves report bytes records the new digests here and says why
+# sha256 of report.json for master seeds 0-4, keyed by weight mode, task and
+# test fraction (80:20 and 70:30); a change that moves report bytes records
+# the new digests here and says why
 _REPORT_DIGESTS = {
-    ("test", "binary"): [
+    ("test", "binary", 0.2): [
         "8e2e5ffa5e125bdc6fdf555b35aff9f1b4defc9406a582e1b2fa70765dd8691e",
         "6851a8321f4093784a8a93994b6f6b19bb2f6bc68d48ce739f2f3ea1597152ea",
         "441d513ae600f9ece212958c18492391aa17557bbbd8a91d9ac20fe86d8388f5",
         "7e86bc405fb793e8e805bf4fd9025ce2a9684dc0d1dfbd1e10c760f21a951cc5",
         "f411fd8b6f583764cad47681379899bfebd10789e0f1c365e5808668319ed706",
     ],
-    ("test", "multiclass"): [
+    ("test", "multiclass", 0.2): [
         "73ab607d71183e7b0f19c70e43316254c193cda8f9805add5e8f632e441774bb",
         "eba4be5010d45986b45dedd8b6cde2ad0a30ef312f312389ccd2fd23939f47f1",
         "f4589d0e64b79797ba2c364f06845672169b5b5429fb6638991e8b94ef57174c",
         "6f16fe91226d5c07baec717b635f32fec66200e184ba72366163e9533fd52aaf",
         "6c8c16faee2b0bafef29515a494b9a39b0d1cc872664d87c34b7dec42ff151c9",
     ],
-    ("validation", "binary"): [
+    ("validation", "binary", 0.2): [
         "a364d266cd633bc819e567d2b7fb65290d628e6ea2a83a48cee1bae667c569e7",
         "8b05e469b5d1e78dceb2d39e3b2f104b5fbda6f026126ae3b652d7e16dc636e0",
         "41b65cde1a87f542f11df2414bbba145845b2100ecacd3dfe5469c1ba2e995ea",
         "514efa21078524a91229ee90ae591b4f1e767c2db5eee2cf12320a59a256bea6",
         "b5a8a2d0cfffcbb2a120ded938168529ce9d7fcf4013f58e9b013e1509a40b62",
     ],
-    ("validation", "multiclass"): [
+    ("validation", "multiclass", 0.2): [
         "ca4faaab0e9ac40fa1cd7ec995ff2914d1a800c6e6d99c5d074c937028d7f9e1",
         "d6b09dca71baaeef0cd7eb318dc65d73320899699bdcde85a383934e3e633ae3",
         "b8adcad341d8ca30df34a54c5afa6bcfdcd6522c24898f203bf7a522ca7810a8",
         "c3f186578173d320b3e93add21394ed211facf0dc994a040e49ad883a54b9be0",
         "e32a882d57791d9e2891ec1ae1c16c1125716abd40583bcd0eaf6d083f534984",
+    ],
+    ("test", "binary", 0.3): [
+        "c02cb34cac0e240fef04f86146cf1ecab631021146dd9548ce1fee47e86ae295",
+        "6175cf497686be267a0e14410f7203cac7e734da8c932fb23cd1cc7eb562fbc0",
+        "8a4e6365fb60e409e95e18a3ab648920955600c07d95cb9acde6cd15d1e61520",
+        "c2adbe542189d154e0f4e553be939a1458717cf48ac16f42d9904f3cb20921b2",
+        "3ea3cba37c94756f36f96680d36a43062883a07bef58ff2c4ad4047a5695f7c9",
+    ],
+    ("test", "multiclass", 0.3): [
+        "045b943b40ad8c34abca6fca7d78e3a0f7aef66359ee78d426e6a97edc78b26c",
+        "8a99a2f9c9f547c0ad428202a6b506146591d26bab10a9bc3a0791ceebae12b1",
+        "7e9e1593b85b18dbffbafdb9d399406d50ddd8d11c356e602f737a8b3e52cb62",
+        "2dd62029abeae28177becda2f771174bb9254e25009dafbb8697f15762df648d",
+        "46663b835b51d2fe935373275b316be8bf79112fa07f17a1e4210686694bad7f",
+    ],
+    ("validation", "binary", 0.3): [
+        "bdd2c5a5ed8de2e7ab9c015850a1b6b9aa84dfd05fd35613a196be2cb8ff9ca7",
+        "6daee8168749202a65fe856f5ebf479446b7303da71ec1daa0ec1ca98f5d7f0d",
+        "126fe849f6463385a99af990b24bd1890e4c5a8b7788f07310247404ee1d3d8b",
+        "0f944e392142be0df63aee1679c7d4e91329cc90304140ef288f84dfd6d134b2",
+        "48d831deac6419bce444f8383904d0cc4c295d38b42b2c65dba70b2dc449f1d7",
+    ],
+    ("validation", "multiclass", 0.3): [
+        "160bcfb882d1bce7c45e34dfeaf09be46e176b74f6cbf7223698aaeaa4553fab",
+        "c57115d02a31fb8cda6e11a232e627bbbce7b78c89991fab20de80e0a092ce2a",
+        "0c7a243a435b92382a5e14ef852d81039f6e1da983bd95fb18dd1349b111aef4",
+        "098342986242138f347757560ff4e1929918dfd3c056092256e8c0adf829789c",
+        "14fb4c01a3a8720a7c1b2b9a265bb649dc65d1e048400d74d07e7e1fb6d974f4",
     ],
 }
 
@@ -522,33 +587,61 @@ _REPORT_DIGESTS = {
 # sha256 over every file of the same report directories (report.json,
 # summary.md, summary.csv and roc/*.csv), as `_directory_digest` reads them
 _DIRECTORY_DIGESTS = {
-    ("test", "binary"): [
+    ("test", "binary", 0.2): [
         "f1b3d17d35b4e10193b4b123a1b8db6ffad1be1c3601955d4cb0eb326f41f645",
         "a3e7ae60a3b92e34b40a063b063e1bdd5e9a33f3ff0d0f12c82f85c2af1e864e",
         "a2db539c615c2f7a7f1b9da94ebc49b57220958f4fd43ffeb1471a627890ffa3",
         "eb1df0e1ccc9e1302aa833905ab65d0cf83efe5429ac27c2254cd0cfd89b52a1",
         "b4a469e83b6a1fa587537600e94fd00ffd26ee9a7abe865d35f86f47872ea17a",
     ],
-    ("test", "multiclass"): [
+    ("test", "multiclass", 0.2): [
         "2ae220fa611847f2d70e540750458aee099d0d39bb2e253468085f1c7af8dd9c",
         "837eaa485ba388fd508a5acc41d1d3c6027c73cb23e3f8e071df15b1581165c6",
         "7335e35cf8d45bdaba3e0ce443c092a8171fd5ac22eb9b2883605a2ba7324776",
         "ff170a4171ebd03668113a822fa64872eb094c7d09e8bbe09571c23463dc0b24",
         "cd6af3fc07dc0d1b62a825785820271eceae026aa59644d52228cc350efce6c4",
     ],
-    ("validation", "binary"): [
+    ("validation", "binary", 0.2): [
         "63f45d3bbf313485a65455607f3714558e8bb594e88e519cec2b6509b953e4aa",
         "42787459cc3d99aa4b01d115ebd67f103a489d5c27dabd809c0fb0107aec924a",
         "1ccd345be9ee6014d8d079b10b95baa0ca1bef020f247dd371bbe8571e9b791b",
         "d6d3ccaca5cb772823c4dc4db70a087f041c5f45c79e448e1c73634653a600f5",
         "fbe2dcaa4e702c002b8444b906fdc8fa707b07cee4f476c470a508603f4c7c98",
     ],
-    ("validation", "multiclass"): [
+    ("validation", "multiclass", 0.2): [
         "aecab4e45ac32e28dee48da7d74c623a90f703f39c45461762240dbc7b970327",
         "91d8a3c47798a805eb4b7ff0920829c18f5c3fdf331da73e7fbc196e0be80411",
         "1bc540bfed97e2ba0b7eecdea01fed0802f3fd7356a6e0c66aaf7aa384bd8f2c",
         "8a5145efff69bab90d6402fc5bc65e283ad1f736039c02fc0647c61eef3fce9b",
         "6030cf67add5287c09df17ac9dc39ab709d04005719cb7924d4945ac875bbfd1",
+    ],
+    ("test", "binary", 0.3): [
+        "2da8f8d88adab8d0b0477bec19f26495cb16fe3a4eb9b08ce6f4fd575c62bf76",
+        "dd35d962f5aab0907d317fab79655f28ac22ecb75a368451d8354b747f0e5dbc",
+        "6c7b0b4b3c1cc7ee66dcf5190fc855a955050729b3535cf651dfe7127b3a7379",
+        "11f0f32e432efb06fac22220ed6ac21c28f2c8310c0d0cbdaf63baa9537a488b",
+        "d087914c1403728e7fdc5693384b74860990e0e1173de301d40a04056dff95e7",
+    ],
+    ("test", "multiclass", 0.3): [
+        "2d2ca989a5029eabec90c0eae45b766d62c3e542d8ae5ccf442d0c2f9175c040",
+        "1e53df7401dd91b01bc9d7c529e3592973eb9257d930d4bc9bef334046d0cfda",
+        "9a176ec882858c8d5d98524c8752c5bce76e2ef70db47220959b7a16f9ce7459",
+        "e8a5fd63f8691e8fe1c72347da4fc5fad62f79fdfed824dd08bb81a3b001ac22",
+        "065e881c72b09b55fe8dcc08b703646bc6e992286e1943e54dc32bbf653c2af8",
+    ],
+    ("validation", "binary", 0.3): [
+        "2aa5706377bfffa36ba14de1f9b7313fe6cae7ea1b2592e44ac93fdfc493c625",
+        "f733d98d2ed200926b165b0af4123755bd0d79dc41d5a5278e0c5668b65b294d",
+        "06f1ccc54d5215faae40978bac76bdf8a23034ae250ff0ef614fd3bdd7bd9f3b",
+        "9eb85552686efffcc75830575b123387577f2b4547b416533806a2f4b907336a",
+        "dac0fcb4771b972b18739c41534ae56c3df7b381c5de97a47860efe0bdd7a6c5",
+    ],
+    ("validation", "multiclass", 0.3): [
+        "72063565b6036d632138349b3c7348619f743ab65d2ac874e57ad51151ef2083",
+        "0d3790869a191b6734ab73e95b279de6d02071d851755bc1354a9189383838eb",
+        "e2ca3d1ee27fbfb003dcfc0a8a26360a1a701bab3a788972b59865c7737f9732",
+        "4ae00b2fb9a33e3cfc3e3265b1acc870067bc254a25a0e34fe7dcf777a9c36d6",
+        "8f43725f20527b071e90ecf39e7126d21c1495748ebe5ecf95203b8ff2bf0769",
     ],
 }
 
@@ -565,14 +658,15 @@ def _directory_digest(root):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("mode, task", sorted(_REPORT_DIGESTS))
+@pytest.mark.parametrize("mode, task", sorted({key[:2] for key in _REPORT_DIGESTS}))
 def test_desk_reports_match_pinned_digests(tmp_path, mode, task):
-    digests, directories = [], []
-    for seed in range(5):
-        out = tmp_path / f"seed{seed}"
-        emit_report(run_experiment(RunConfig(task=task, test_fraction=0.2, master_seed=seed,
-                                             weight_eval_mode=mode)), out)
-        digests.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
-        directories.append(_directory_digest(out))
-    assert digests == _REPORT_DIGESTS[mode, task]
-    assert directories == _DIRECTORY_DIGESTS[mode, task]
+    for fraction in (0.2, 0.3):
+        digests, directories = [], []
+        for seed in range(5):
+            out = tmp_path / f"{fraction}-seed{seed}"
+            emit_report(run_experiment(RunConfig(task=task, test_fraction=fraction,
+                                                 master_seed=seed, weight_eval_mode=mode)), out)
+            digests.append(hashlib.sha256((out / "report.json").read_bytes()).hexdigest())
+            directories.append(_directory_digest(out))
+        assert digests == _REPORT_DIGESTS[mode, task, fraction], fraction
+        assert directories == _DIRECTORY_DIGESTS[mode, task, fraction], fraction

@@ -5,7 +5,7 @@ import pytest
 
 from cardiofuse.dataset import AttributeSpec, DataTable, bundled_data_path, load_csv
 from cardiofuse.preprocess import (ImputationError, PreprocessError,
-                                   ResampleError, ScalerUsageError, SplitSpec,
+                                   ResampleError, SplitSpec,
                                    TaskKind, apply_scaler, derive_task,
                                    encode_labels, fit_scaler,
                                    impute_most_frequent, random_oversample,
@@ -35,7 +35,6 @@ def test_impute_mode():
     t = one_column_table([3, 3, np.nan, 7])
     out = impute_most_frequent(t)
     assert out.rows[:, 0].tolist() == [3, 3, 3, 7]
-    assert not out.missing_mask.any()
 
 
 def test_impute_tie_breaks_to_smallest():
@@ -49,10 +48,10 @@ def test_impute_tie_breaks_to_smallest():
 
 def test_impute_cleveland_clears_all_missing(cleveland):
     out = impute_most_frequent(cleveland)
-    assert out.missing_mask.sum() == 0
+    assert not np.isnan(out.rows).any()
     assert out.n_rows == 303
     # non-missing cells unchanged
-    keep = ~cleveland.missing_mask
+    keep = ~np.isnan(cleveland.rows)
     assert np.array_equal(out.rows[keep], cleveland.rows[keep])
 
 
@@ -101,12 +100,6 @@ def test_degenerate_columns_map_to_zero():
         params = fit_scaler(X, kind)
         out = apply_scaler(params, X)
         assert (out[:, 0] == 0.0).all()
-
-
-def test_unfitted_scaler_rejected():
-    from cardiofuse.preprocess import ScalerParams
-    with pytest.raises(ScalerUsageError):
-        apply_scaler(ScalerParams("zscore"), np.zeros((1, 1)))
 
 
 def test_scaler_invariants_on_cleveland(cleveland):
