@@ -55,6 +55,17 @@ def test_non_numeric_names_row_and_column(tmp_path):
         load_csv(f)
 
 
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_non_finite_feature_token_rejected(tmp_path, token):
+    # only '?' may become NaN, so a NaN cell always means a missing one
+    parts = FULL_ROW.split(",")
+    parts[4] = token
+    f = tmp_path / "bad.data"
+    f.write_text(",".join(parts) + "\n")
+    with pytest.raises(ParseError, match="row 1, column S_chol: non-finite"):
+        load_csv(f)
+
+
 def test_unknown_category_code_rejected(tmp_path):
     parts = FULL_ROW.split(",")
     parts[12] = "5.0"  # Thal allows only {3, 6, 7}

@@ -356,23 +356,6 @@ def test_cli_non_finite_member_scores_are_a_training_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
-def test_cli_multiclass_svm_nan_scores_are_a_training_error(tmp_path, capsys, monkeypatch):
-    from cardiofuse.models import SVMClassifier
-    decision = SVMClassifier.decision_function
-
-    def nan_in_row_0(self, X, machine=0):
-        f = decision(self, X, machine)
-        f[0] = np.nan
-        return f
-
-    monkeypatch.setattr(SVMClassifier, "decision_function", nan_in_row_0)
-    out = tmp_path / "rep"
-    assert cli_main(["run", "--task", "multiclass", "--seed", "0", "--pairs", "svm+lr",
-                     "--report-dir", str(out)]) == 3
-    assert "SVM model produced non-finite scores" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv, message", [
     (["--pairs", ","], "fusion_pairs must be a list"),
     (["--pairs", ""], "fusion_pairs must be a list"),

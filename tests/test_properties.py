@@ -119,6 +119,7 @@ _mutation = st.one_of(
 @given(edits=st.lists(st.tuples(st.integers(0, len(_LINES) - 1), _mutation), max_size=3),
        keep=st.integers(1, len(_LINES)))
 @example(edits=[(0, ("token", 13, "1e400"))], keep=1)   # an infinite label
+@example(edits=[(0, ("token", 4, "nan"))], keep=1)     # a NaN that is not a '?'
 def test_loader_accepts_a_mutated_file_or_raises_a_data_error(edits, keep):
     lines = [line.split(",") for line in _LINES[:keep]]
     for row, (kind, j, token) in edits:
@@ -131,12 +132,16 @@ def test_loader_accepts_a_mutated_file_or_raises_a_data_error(edits, keep):
             fields.insert(j, token)
         elif kind == "line":
             fields[:] = [token]
+    text = "\n".join(",".join(f) for f in lines)
     try:
-        table = load_csv(_Text("\n".join(",".join(f) for f in lines)))
+        table = load_csv(_Text(text))
     except (ParseError, SchemaViolation):
         return
     assert 1 <= table.n_rows <= keep and table.rows.shape == (table.n_rows, 13)
-    assert not np.isinf(table.rows).any()   # a cell is a finite value or NaN for '?'
+    # NaN marks exactly the '?' cells; every other cell is finite
+    kept = [line.split(",") for line in text.splitlines() if line.strip()]
+    assert np.array_equal(np.isnan(table.rows), [[t.strip() == "?" for t in f[:-1]] for f in kept])
+    assert not np.isinf(table.rows).any()
 
 
 # integer-valued scores over a few values, so that tied entries are common
