@@ -1,8 +1,9 @@
 """Common contract for the probabilistic classifiers.
 
 Every learner fits on a feature matrix with labels 0..k-1 and scores unseen
-rows into an (n, k) matrix of probabilities whose rows sum to 1. Fits and
-scores run on one BLAS thread (``one_blas_thread``).
+rows into an (n, k) matrix of probabilities whose rows sum to 1; a row with
+a non-finite feature value is a ``ModelError``, as is a non-finite score. Fits
+and scores run on one BLAS thread (``one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -142,6 +143,10 @@ class ProbabilisticClassifier:
         if X.shape[1] != self.n_features_:
             raise ShapeError(
                 f"row width {X.shape[1]} does not match training width {self.n_features_}")
+        finite = np.isfinite(X)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ModelError(f"{self.kind} model cannot score row {i}: feature {j} is {X[i, j]}")
         with one_blas_thread:
             p = np.asarray(self._scores(X), dtype=np.float64)
         if not np.isfinite(p).all():

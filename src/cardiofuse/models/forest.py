@@ -5,9 +5,10 @@ from its own generator, and considers max_features features per split,
 round(sqrt(d)) unless set.
 All trees grow in lockstep on the weighted distinct rows of their bootstraps,
 from one flat row buffer split in place (``tree.grow_forest``). Scores are
-the mean of the trees' leaf frequency vectors (soft voting) from one descent
-of all trees (``tree.score_forest``); argmax of the mean is the majority
-vote under hard leaves.
+the mean of the trees' leaf frequency vectors (soft voting), with the exit
+leaves of all trees found at once, by leaf bitvectors for a batch that is
+large next to the forest and by a descent otherwise (``tree.score_forest``);
+argmax of the mean is the majority vote under hard leaves.
 """
 
 from __future__ import annotations

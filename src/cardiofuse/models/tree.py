@@ -7,7 +7,15 @@ column of one array, so a step handles the next preorder node of every tree with
 array operations and one segmented scan. The "best" splitter scans every
 midpoint between distinct values of the candidate features; the "random"
 splitter draws one uniform threshold per candidate feature. Leaves store class
-frequencies. ``score_forest`` scores all trees at once from one stacked table.
+frequencies.
+
+``score_forest`` scores all trees at once from one stacked table, by one of two
+paths chosen from shapes alone. A batch of more rows than the forest has split
+nodes times W, the 64-bit words of its largest tree's leaf bitvector, goes by
+QuickScorer's bitvectors: a per-feature table lookup and an AND give each row
+the exit leaf of every tree at once, from tables that cost no more than the
+batch. A smaller batch, or DT's one tree, descends all (tree, row) pairs level
+by level. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -86,8 +94,15 @@ class Tree:
 
 # rows that one batch of nodes brings to the split search, give or take one
 # node: the scan's largest arrays hold rows x candidates x classes entries;
-# also the most (tree, row) pairs that one chunk of scoring descends
+# also the most (tree, row) pairs that one chunk of the descent moves
 _BATCH_ROWS = 8192
+
+# the most 64-bit words of (row, tree) bitvectors that one chunk of the
+# bitvector path ANDs
+_BATCH_WORDS = 32768
+
+# 2**a - 1 at index a: the low a bits of a 64-bit word, for a in 0..64
+_LOW_BITS = np.array([(1 << a) - 1 for a in range(65)], dtype=np.uint64)
 
 
 def _choice_draws(rng, d, m, count):
@@ -291,34 +306,66 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
 def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     """Mean leaf class-frequency vector of every row of ``X`` over ``trees``.
 
-    One preorder table stacks the trees, each leaf its own child with threshold
-    +inf, so all (tree, row) pairs descend by the same array steps until none
-    moves; ``~(x <= threshold)`` sends NaN right. Pairs go by whole rows, at most
-    ``_BATCH_ROWS`` (or one row's) at a time; landed ones are dropped once they are
-    half of those left. Each row adds its trees' leaves in tree order.
+    The trees' node arrays are stacked end to end, and one of two paths finds
+    the exit leaf of every (tree, row) pair; both send a row right at a split
+    where ``~(x <= threshold)``, so NaN goes right. A batch with more rows than
+    split nodes times W, the 64-bit words of the largest tree's leaf bitvector,
+    goes by bitvectors (``_exit_leaves_by_bitvectors``): their tables take
+    8 x splits x trees x W bytes, so at most 8 bytes per (row, tree) pair of
+    the batch, and a row costs one lookup per feature. A smaller batch, or a
+    one-tree forest, whose lone tree the descent walks faster at every batch
+    size, descends level by level (``_exit_leaves_by_descent``), the reference
+    the tests hold the bitvectors to. Each row adds its trees' leaves in tree
+    order, so both paths give the same bits.
     """
     size = np.array([len(t.feature) for t in trees])
     base = np.cumsum(size) - size
     feature = np.concatenate([t.feature for t in trees])
     threshold = np.concatenate([t.threshold for t in trees])
     leaf = feature < 0
-    feature[leaf], threshold[leaf] = 0, np.inf
-    # node i goes to child[2i] (left) or child[2i + 1] (right); a leaf to itself
+    before = np.cumsum(leaf, dtype=np.int32) - leaf   # leaves ahead: a leaf's row in ``value``
+    # node i goes to child[i, 0] (left) or child[i, 1] (right); a leaf to itself
     child = np.stack([np.concatenate([t.left for t in trees]),
                       np.concatenate([t.right for t in trees])], axis=1)
     child += np.repeat(base, size)[:, None]
     child[leaf] = np.flatnonzero(leaf)[:, None]
-    child = child.ravel()
     value = np.concatenate([t.value[t.feature < 0] for t in trees])   # leaves' only
-    row = np.cumsum(leaf, dtype=np.int32) - 1   # a leaf's row in ``value``
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    bitvectors = len(trees) > 1 and len(X) > np.count_nonzero(~leaf) * _words(leaf, base)
+    exits = _exit_leaves_by_bitvectors if bitvectors else _exit_leaves_by_descent
+    out = np.empty((len(X), value.shape[1]))
+    for r, at in exits(feature, threshold, child, before, base, X):
+        # accumulate adds tree after tree; 0 + v is v exactly, as in a running total
+        v = np.take(value, at, axis=0)
+        out[r:r + at.shape[1]] = np.add.accumulate(v, axis=0, out=v)[-1]
+    return out / len(trees)
+
+
+def _words(leaf, base):
+    """64-bit words that hold a bit for every leaf of the largest tree."""
+    return -(-int(np.add.reduceat(leaf, base).max()) // 64)
+
+
+def _exit_leaves_by_descent(feature, threshold, child, before, base, X):
+    """(first row, tree-by-row exit leaves) of each chunk of ``X``, each leaf
+    numbered as ``before`` counts it.
+
+    Each leaf is its own child with threshold +inf (written over ``feature``
+    and ``threshold`` in place), so all (tree, row) pairs descend by the same
+    array steps until none moves. Pairs go by whole rows, at most
+    ``_BATCH_ROWS`` (or one row's) at a time; landed ones are dropped once
+    they are half of those left.
+    """
+    leaf = feature < 0
+    feature[leaf], threshold[leaf] = 0, np.inf
+    child = child.ravel()
     n, d = X.shape
-    Xf = np.ascontiguousarray(X, dtype=np.float64).ravel()
-    out = np.empty((n, value.shape[1]))
-    step = max(1, _BATCH_ROWS // len(trees))   # rows per chunk
+    Xf = X.ravel()
+    step = max(1, _BATCH_ROWS // len(base))   # rows per chunk
     for r in range(0, n, step):
         b = min(step, n - r)
         at = np.repeat(base, b)   # tree-major pairs: tree t, row r + i at t * b + i
-        live, cur, off = np.arange(len(at)), at, np.tile(np.arange(r, r + b) * d, len(trees))
+        live, cur, off = np.arange(len(at)), at, np.tile(np.arange(r, r + b) * d, len(base))
         while True:
             nxt = child[2 * cur + ~(Xf[off + feature[cur]] <= threshold[cur])]
             moved = nxt != cur
@@ -328,10 +375,58 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
                 if not moving:
                     break
                 live, cur, off = live[moved], cur[moved], off[moved]
-        # accumulate adds tree after tree; 0 + v is v exactly, as in a running total
-        v = value[row[at]].reshape(len(trees), b, -1)
-        out[r:r + b] = np.add.accumulate(v, axis=0, out=v)[-1]
-    return out / len(trees)
+        yield r, before[at].reshape(len(base), b)
+
+
+def _exit_leaves_by_bitvectors(feature, threshold, child, before, base, X):
+    """(first row, tree-by-row exit leaves) of each chunk of ``X``, each leaf
+    numbered as ``before`` counts it.
+
+    QuickScorer (Lucchese et al., SIGIR 2015). Bit j of a tree's ``words``
+    64-bit words stands for its j-th leaf in preorder. A split's mask clears
+    the bits of its left subtree's leaves, from its own first leaf up to the
+    first leaf of its right child. The AND of the masks of every split that
+    sends a row right keeps the row's exit leaf as its lowest set bit. For each
+    feature, that feature's splits sorted by threshold give a table whose row c
+    is the AND of the first c masks; ``searchsorted`` counts the thresholds
+    below x, the splits where ``~(x <= threshold)``, NaN past all of them. A
+    chunk of at most ``_BATCH_WORDS`` words (or one row's) ANDs the table rows
+    its rows pick, one per feature.
+    """
+    T, (n, d), words = len(base), X.shape, _words(feature < 0, base)
+    split = np.flatnonzero(feature >= 0)
+    tree = np.searchsorted(base, split, side="right") - 1
+    first = before[base]   # each tree's first leaf
+    lo, hi = before[split] - first[tree], before[child[split, 1]] - first[tree]
+    shift = 64 * np.arange(words)   # the first leaf of each word
+    masks = ~(_LOW_BITS[np.clip(hi[:, None] - shift, 0, 64)]
+              ^ _LOW_BITS[np.clip(lo[:, None] - shift, 0, 64)])
+    col = tree[:, None] * words + np.arange(words)
+    order = np.lexsort((threshold[split], feature[split]))
+    bounds = np.searchsorted(feature[split][order], np.arange(d + 1))
+    ones = np.iinfo(np.uint64).max
+    lookups = []   # (table, table row of every row of X) per feature with splits
+    for j, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if s == e:
+            continue
+        i = order[s:e]
+        table = np.full((e - s + 1, T * words), ones, dtype=np.uint64)
+        table[np.arange(1, e - s + 1)[:, None], col[i]] = masks[i]
+        np.bitwise_and.accumulate(table, axis=0, out=table)
+        lookups.append((table, np.searchsorted(threshold[split[i]], X[:, j])))
+    step = max(1, _BATCH_WORDS // (T * words))   # rows per chunk
+    for r in range(0, n, step):
+        b = min(step, n - r)
+        bits = np.full((b, T * words), ones, dtype=np.uint64)
+        for table, rows in lookups:
+            bits &= table[rows[r:r + b]]
+        # the lowest set bit of the first nonzero word, a power of two that
+        # float64 holds exactly: frexp gives its exponent plus one (0 for 0)
+        for w in range(words - 1, -1, -1):
+            word = bits[:, w::words]
+            bit = np.frexp((word & -word).astype(np.float64))[1] + (64 * w - 1)
+            leaf = bit if w == words - 1 else np.where(word != 0, bit, leaf)
+        yield r, (leaf + first).T
 
 
 class DecisionTreeClassifier(ProbabilisticClassifier):

@@ -1,11 +1,13 @@
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from cardiofuse.models import (LogisticRegressionClassifier, ModelError, SVMClassifier,
-                               NotFittedError, ProbabilisticClassifier, ShapeError)
+from cardiofuse.models import (MODEL_KINDS, LogisticRegressionClassifier, ModelError,
+                               NotFittedError, ProbabilisticClassifier, ShapeError,
+                               SVMClassifier, make_model)
 from cardiofuse.models.base import one_blas_thread
 from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
                                    linear_kernel, platt_prob, rbf_kernel)
@@ -126,17 +128,22 @@ def test_svm_multiclass_one_vs_rest_scores():
     assert len(m.machines_) == 5
 
 
-def test_a_nan_row_is_an_error_for_every_linear_model():
-    # one-vs-rest normalisation must not turn a NaN row into a uniform row
+def test_a_nan_row_is_an_error_for_every_model():
+    # refused before scoring: one-vs-rest normalisation must not turn a NaN row
+    # into a uniform row, nor a tree send it right as if it were data
     rng = np.random.default_rng(4)
     X = rng.normal(size=(80, 3))
-    nan_row = np.array([[np.nan, 0.0, 0.0]])
     for y in (rng.integers(0, 2, 80), rng.integers(0, 5, 80)):
-        for m in (LogisticRegressionClassifier(), SVMClassifier(kernel="linear"),
-                  SVMClassifier(kernel="rbf")):
+        # ADA's boosted stumps are binary only; SVM's default kernel is the RBF
+        models = [make_model(kind) for kind in MODEL_KINDS if kind != "ADA" or y.max() == 1]
+        for m in models + [SVMClassifier(kernel="linear")]:
             m.fit(X, y)
-            with pytest.raises(ModelError, match="non-finite scores"):
-                m.predict_proba(nan_row)
+            for j, bad in ((0, np.nan), (2, np.inf), (1, -np.inf)):
+                rows = np.zeros((2, 3))
+                rows[1, j] = bad
+                with pytest.raises(ModelError, match=re.escape(
+                        f"{m.kind} model cannot score row 1: feature {j} is {bad}")):
+                    m.predict_proba(rows)
 
 
 def test_platt_fit_is_monotone_and_calibrated():

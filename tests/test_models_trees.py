@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cardiofuse.models import DecisionTreeClassifier, RandomForestClassifier
+from cardiofuse.models import DecisionTreeClassifier, ModelError, RandomForestClassifier
 from cardiofuse.models import tree as tree_mod
 from cardiofuse.models.adaboost import split_scan
 from cardiofuse.models.tree import (Tree, _choice_draws, _floyd, _impurity_rows, _split_segments,
@@ -192,7 +194,93 @@ def test_flat_scoring_equals_a_walk_of_each_tree(monkeypatch, batch_rows):
             got = score_forest(trees, rows)
             assert got.shape == (len(rows), 3)
             assert np.array_equal(got, want / len(trees))
-            assert np.array_equal(model.predict_proba(rows), got)
+            # the model refuses a NaN row, and scores the finite ones alike
+            finite = ~np.isnan(rows).any(axis=1)
+            assert np.array_equal(model.predict_proba(rows[finite]), got[finite])
+            if not finite.all():
+                with pytest.raises(ModelError, match="cannot score row"):
+                    model.predict_proba(rows)
+
+
+_PATHS = ("_exit_leaves_by_descent", "_exit_leaves_by_bitvectors")
+
+
+def _score_by(path, trees, X, batch_words=None):
+    """``score_forest`` with every batch sent down one path."""
+    with pytest.MonkeyPatch.context() as mp:
+        chosen = getattr(tree_mod, path)
+        for name in _PATHS:
+            mp.setattr(tree_mod, name, chosen)
+        if batch_words is not None:
+            mp.setattr(tree_mod, "_BATCH_WORDS", batch_words)
+        return score_forest(trees, X)
+
+
+def _random_tree(rng, leaves, d, k):
+    """A tree of ``leaves`` leaves in preorder, its splits on thresholds of a coarse grid."""
+    nodes = []   # [feature, threshold, left, right, value]
+
+    def grow(n):
+        node = [-1, 0.0, -1, -1, rng.random(k)]
+        nodes.append(node)
+        at = len(nodes) - 1
+        if n > 1:
+            cut = int(rng.integers(1, n))
+            node[:2] = int(rng.integers(d)), float(rng.integers(-4, 5)) / 2
+            node[2:] = grow(cut), grow(n - cut), np.zeros(k)
+        return at
+
+    grow(leaves)
+    return Tree(*zip(*nodes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       leaves=st.lists(st.integers(1, 140), min_size=1, max_size=4),
+       n=st.integers(0, 30), d=st.integers(1, 4), k=st.integers(1, 3),
+       chunk=st.sampled_from([1, 7, None]))
+@example(seed=0, leaves=[130, 1, 65], n=30, d=3, k=2, chunk=7)   # W = 3, a one-leaf tree
+@example(seed=1, leaves=[1, 1], n=1, d=2, k=2, chunk=1)   # no split at all
+@example(seed=2, leaves=[64, 65], n=0, d=2, k=3, chunk=None)
+def test_bitvectors_equal_a_walk_of_each_tree_bit_for_bit(seed, leaves, n, d, k, chunk):
+    rng = np.random.default_rng(seed)
+    trees = [_random_tree(rng, m, d, k) for m in leaves]
+    # values on the threshold grid, so rows land on thresholds that trees share
+    X = rng.integers(-5, 6, (n, d)) / 2 + rng.choice([0.0, 0.1], (n, d))
+    X[rng.random((n, d)) < 0.15] = np.nan
+    want = np.zeros((n, k))
+    for tree in trees:   # summed tree after tree, as a running total
+        want += np.array([_walk(tree, x) for x in X]).reshape(n, k)
+    words = -(-max(leaves) // 64)
+    got = _score_by("_exit_leaves_by_bitvectors", trees, X,   # chunks of ``chunk`` rows
+                    chunk and chunk * len(trees) * words)
+    assert np.array_equal(got, want / len(trees))
+    assert np.array_equal(score_forest(trees, X), got)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_batch_takes_bitvectors_past_splits_times_words(monkeypatch, wide):
+    rng = np.random.default_rng(19)
+    if wide:   # trees past 64 leaves: two words each
+        trees = [_random_tree(rng, 70 + t, 4, 3) for t in range(3)]
+    else:
+        trees = RandomForestClassifier(n_estimators=6, seed=2).fit(*blob_data(rng, 300, 4)).trees_
+    splits = sum(int((t.feature >= 0).sum()) for t in trees)
+    words = -(-max(int((t.feature < 0).sum()) for t in trees) // 64)
+    assert words == (2 if wide else 1)
+    calls = []
+    for name in _PATHS:
+        path = getattr(tree_mod, name)
+        monkeypatch.setattr(tree_mod, name,
+                            lambda *a, path=path, name=name: calls.append(name) or path(*a))
+    rows = rng.normal(size=(splits * words + 1, 4))
+    at, past = score_forest(trees, rows[:-1]), score_forest(trees, rows)
+    score_forest(trees[:1], rows)   # a lone tree descends at any batch size
+    assert calls == [*_PATHS, _PATHS[0]]
+    assert np.array_equal(at, past[:-1])
+    monkeypatch.undo()
+    assert np.array_equal(past, _score_by("_exit_leaves_by_descent", trees, rows))
+    assert np.array_equal(at, _score_by("_exit_leaves_by_bitvectors", trees, rows[:-1]))
 
 
 def test_forest_unanimous_vote_scores_one():
@@ -561,3 +649,15 @@ def test_pipeline_tree_documents_are_byte_identical(monkeypatch, task, test_frac
         if (t, frac) == (task, test_fraction):
             blob = json.dumps(docs[kind]).encode()
             assert hashlib.sha256(blob).hexdigest() == digest, kind
+
+
+@pytest.mark.parametrize("task", ["binary", "multiclass"])
+def test_pipeline_forests_score_alike_on_both_paths(monkeypatch, task):
+    from cardiofuse.dataset import bundled_data_path, load_csv
+    from cardiofuse.preprocess import impute_most_frequent
+    model = _pipeline_fits(monkeypatch, task, 0.2, [("RF", "LR")])["RF"][0]
+    table = impute_most_frequent(load_csv(bundled_data_path()))   # RF reads unscaled rows
+    X = table.rows[np.random.default_rng(0).integers(0, table.n_rows, 2000)]
+    descent = _score_by("_exit_leaves_by_descent", model.trees_, X)
+    assert np.array_equal(_score_by("_exit_leaves_by_bitvectors", model.trees_, X), descent)
+    assert np.array_equal(model.predict_proba(X), descent)
