@@ -68,8 +68,12 @@ def _config_from_args(args) -> RunConfig:
     """RunConfig from the --config file's fields, with the given flags laid over them."""
     cfg = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                cfg = json.load(f)
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {args.config}: "
+                              f"{e.strerror if isinstance(e, OSError) else e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: a config file holds one JSON object")
         unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
@@ -99,7 +103,10 @@ def cmd_run(args) -> int:
         report = run_experiment(cfg)
         out_dir = (cfg.report_dir if args.repeat == 1
                    else os.path.join(cfg.report_dir, f"seed{cfg.master_seed}"))
-        written = emit_report(report, out_dir)
+        try:
+            written = emit_report(report, out_dir)
+        except OSError as e:
+            raise ConfigError(f"cannot write the report to {out_dir}: {e}") from e
         print(f"seed {cfg.master_seed}: wrote {len(written)} files to {out_dir}")
         for name, f in report.fusions.items():
             acc = f["report"].metrics["accuracy"]
@@ -178,7 +185,7 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except PipelineError as e:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -191,10 +192,13 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
 
 def _read_text(path) -> str:
     # accept both filesystem paths and importlib.resources traversables
-    if hasattr(path, "read_text"):
-        return path.read_text()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        if not isinstance(path, (str, os.PathLike)):
+            return path.read_text()
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def summarize(table: DataTable) -> dict:
@@ -228,15 +232,33 @@ def summarize(table: DataTable) -> dict:
 
 
 def load_schema_file(path) -> list[AttributeSpec]:
-    """Read a JSON schema document: a list of {name, kind, allowed_values, description}."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    """Read a JSON schema document: a list of {name, kind, allowed_values, description}.
+
+    A file that is not such a list raises ParseError or SchemaViolation,
+    naming the file and, for a bad entry, the entry and its field.
+    """
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: not a JSON document ({e})") from None
+    if not isinstance(doc, list):
+        raise SchemaViolation(f"{path}: a schema document is a JSON list of attribute entries")
     schema = []
-    for entry in doc:
-        schema.append(AttributeSpec(
-            name=entry["name"],
-            kind=entry["kind"],
-            allowed_values=frozenset(float(v) for v in entry.get("allowed_values", [])),
-            description=entry.get("description", ""),
-        ))
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise SchemaViolation(f"{path}: entry {i} is not a JSON object")
+        for key in ("name", "kind"):
+            if key not in entry:
+                raise SchemaViolation(f"{path}: entry {i} has no {key!r}")
+        if any(a.name == entry["name"] for a in schema):
+            raise SchemaViolation(f"{path}: entry {i} repeats the name {entry['name']!r}")
+        try:
+            schema.append(AttributeSpec(
+                name=entry["name"],
+                kind=entry["kind"],
+                allowed_values=frozenset(float(v) for v in entry.get("allowed_values", [])),
+                description=entry.get("description", ""),
+            ))
+        except (TypeError, ValueError) as e:
+            raise SchemaViolation(f"{path}: entry {i} ({entry['name']!r}): {e}") from None
     return schema

@@ -14,12 +14,7 @@ class MetricError(Exception):
 
 @dataclass
 class ConfusionMatrix:
-    """k x k counts; entry (i, j) = samples with true class i predicted class j.
-
-    For binary tasks the positive class is 1 (presence of disease), which
-    maps onto the conventional cells as tp=counts[1,1], fp=counts[0,1],
-    fn=counts[1,0], tn=counts[0,0].
-    """
+    """k x k counts; entry (i, j) = samples with true class i predicted class j."""
 
     counts: np.ndarray
 
@@ -27,36 +22,11 @@ class ConfusionMatrix:
     def k(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def tp(self) -> int:
-        self._require_binary()
-        return int(self.counts[1, 1])
-
-    @property
-    def fp(self) -> int:
-        self._require_binary()
-        return int(self.counts[0, 1])
-
-    @property
-    def fn(self) -> int:
-        self._require_binary()
-        return int(self.counts[1, 0])
-
-    @property
-    def tn(self) -> int:
-        self._require_binary()
-        return int(self.counts[0, 0])
-
-    def _require_binary(self):
-        if self.k != 2:
-            raise MetricError("tp/fp/fn/tn are defined for binary matrices only")
-
     @classmethod
     def from_binary_cells(cls, tp: int, fp: int, fn: int, tn: int) -> "ConfusionMatrix":
+        """The binary matrix of the conventional cells. The positive class is 1
+        (presence of disease), so tp=counts[1,1], fp=counts[0,1],
+        fn=counts[1,0] and tn=counts[0,0]."""
         return cls(np.array([[tn, fp], [fn, tp]], dtype=np.int64))
 
 

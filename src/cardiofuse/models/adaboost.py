@@ -72,15 +72,13 @@ class AdaBoostClassifier(ProbabilisticClassifier):
         self.learning_rate = learning_rate
         self.stumps_ = []   # (feature, threshold, left_class, right_class)
         self.alphas_ = []
-        self.weight_history_sum_ = []
 
     def _fit(self, X, y):
         if self.class_count_ > 2:
             raise ModelError("boosted stumps support binary tasks only")
-        self.class_count_ = 2
         n = X.shape[0]
         w = np.full(n, 1.0 / n)
-        self.stumps_, self.alphas_, self.weight_history_sum_ = [], [], []
+        self.stumps_, self.alphas_ = [], []
         scan = split_scan(X)   # the weights change each round, the order never
         for _ in range(self.n_estimators):
             f, thr, lc, rc, eps = _best_stump(scan, y, w)
@@ -101,7 +99,6 @@ class AdaBoostClassifier(ProbabilisticClassifier):
             pred = np.where(X[:, f] <= thr, lc, rc) if f >= 0 else np.full(n, rc)
             w = w * np.exp(alpha * (pred != y))
             w = w / w.sum()
-            self.weight_history_sum_.append(float(w.sum()))
 
     def vote_totals(self, X):
         """Sum of alpha over the stumps that vote for each class, in stump order.

@@ -2,8 +2,8 @@
 
 Every learner fits on a feature matrix with labels 0..k-1 and scores unseen
 rows into an (n, k) matrix of probabilities whose rows sum to 1; a row with
-a non-finite feature value is a ``ModelError``, as is a non-finite score. Fits
-and scores run on one BLAS thread (``one_blas_thread``).
+a non-finite feature value, to fit or to score, is a ``ModelError``, as is a
+non-finite score. Fits and scores run on one BLAS thread (``one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ class DivergenceError(ModelError):
 SERIAL_VERSION = 1
 
 # thread-count entry points of the OpenBLAS builds numpy ships or links:
-# numpy 2 wheels (64-bit integers), scipy-openblas with 32-bit integers, plain OpenBLAS
-_OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_",
-                          "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+# numpy 2 wheels (64-bit integers), scipy-openblas with 32-bit integers,
+# numpy 1.22-1.26 wheels (64-bit integers), plain OpenBLAS
+_OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                          "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 @functools.cache
@@ -52,17 +53,26 @@ def _find_openblas():
                           if len(f) == 6 and "openblas" in f[5])
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            calls = _thread_calls(ctypes.CDLL(path))
         except OSError:
             continue
-        for name in _OPENBLAS_THREAD_CALLS:
-            try:
-                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+        if calls is not None:
+            return calls
+    return None
+
+
+def _thread_calls(lib):
+    """(get, set) thread-count functions that the loaded library ``lib``
+    exports under one of the OpenBLAS names, or None."""
+    import ctypes
+    for name in _OPENBLAS_THREAD_CALLS:
+        try:
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
     return None
 
 
@@ -125,6 +135,7 @@ class ProbabilisticClassifier:
             raise ShapeError("X must be (n, d) with one label per row")
         if X.shape[0] == 0:
             raise ModelError("cannot fit on an empty table")
+        self._require_finite(X, "fit on")
         self.n_features_ = X.shape[1]
         if self.class_count_ is None:
             # a degenerate single-class target still yields a binary scorer
@@ -143,15 +154,19 @@ class ProbabilisticClassifier:
         if X.shape[1] != self.n_features_:
             raise ShapeError(
                 f"row width {X.shape[1]} does not match training width {self.n_features_}")
-        finite = np.isfinite(X)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise ModelError(f"{self.kind} model cannot score row {i}: feature {j} is {X[i, j]}")
+        self._require_finite(X, "score")
         with one_blas_thread:
             p = np.asarray(self._scores(X), dtype=np.float64)
         if not np.isfinite(p).all():
             raise ModelError(f"{self.kind} model produced non-finite scores")
         return p
+
+    def _require_finite(self, X, verb):
+        """Raise a ModelError naming the first row and feature of X that is not finite."""
+        finite = np.isfinite(X)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ModelError(f"{self.kind} model cannot {verb} row {i}: feature {j} is {X[i, j]}")
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)

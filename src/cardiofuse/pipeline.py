@@ -134,16 +134,12 @@ class RunConfig:
                 if name not in accepted:
                     raise ConfigError(f"hyperparams: {kind} has no parameter {name!r}")
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["fusion_pairs"] = [list(p) for p in self.fusion_pairs]
-        return doc
-
     def experiment_dict(self) -> dict:
         # everything that determines the computation; where the report is
         # written is deliberately excluded
-        doc = self.to_dict()
-        doc.pop("report_dir", None)
+        doc = asdict(self)
+        doc.pop("report_dir")
+        doc["fusion_pairs"] = [list(p) for p in self.fusion_pairs]
         return doc
 
     def config_hash(self) -> str:
@@ -185,10 +181,6 @@ class RunReport:
     member_scores: dict[str, np.ndarray]
     truth: np.ndarray
     preprocessing: dict
-
-    def environment(self) -> dict:
-        return {"master_seed": self.config.master_seed,
-                "config_hash": self.config.config_hash()}
 
 
 def _evaluate(truth, scores, k, averaging) -> EvaluationReport:
@@ -293,13 +285,10 @@ def _train_one(kind, hp, X, y, class_count):
 # ---------------------------------------------------------------------------
 # report emission
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def report_to_dict(report: RunReport) -> dict:
     doc = {
-        "environment": report.environment(),
+        "environment": {"master_seed": report.config.master_seed,
+                        "config_hash": report.config.config_hash()},
         "config": report.config.experiment_dict(),
         "preprocessing": report.preprocessing,
         "members": {k: r.to_dict() for k, r in report.members.items()},
@@ -332,54 +321,38 @@ def emit_report(report: RunReport, report_dir) -> list[str]:
     doc = report_to_dict(report)
     files["report.json"] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    rows = []
-    for kind, rep in report.members.items():
-        rows.append((kind, rep))
-    for name, f in report.fusions.items():
-        rows.append((name, f["report"]))
-
-    binary = report.config.task == "binary"
-    lines = [f"# Run summary ({report.config.task}, "
-             f"test fraction {report.config.test_fraction})", ""]
+    task, frac = report.config.task, report.config.test_fraction
+    binary = task == "binary"
+    lines = [f"# Run summary ({task}, test fraction {frac})", ""]
     if binary:
         lines.append("| Model | Tp | Fp | Fn | Tn | Acc | Prc | Recall | F1-score | Roc-Auc |")
         lines.append("|---|---|---|---|---|---|---|---|---|---|")
     else:
         lines.append("| Model | Acc | Precision | Recall | F1-score | Roc-Auc |")
         lines.append("|---|---|---|---|---|---|")
+    out = ["model,split,accuracy,precision,recall,f1,roc_auc"]
+    rows = [*report.members.items(), *((n, f["report"]) for n, f in report.fusions.items())]
     for name, rep in rows:
-        m = rep.metrics
+        scalars = [f"{rep.metrics[m]:.2f}" for m in ("accuracy", "precision", "recall", "f1")]
+        counts = []
         if binary:
-            cm = metrics_mod.ConfusionMatrix(rep.confusion)
-            lines.append(f"| {name} | {cm.tp} | {cm.fp} | {cm.fn} | {cm.tn} | "
-                         f"{_fmt(m['accuracy'])} | {_fmt(m['precision'])} | "
-                         f"{_fmt(m['recall'])} | {_fmt(m['f1'])} | "
-                         f"{_fmt(rep.roc_auc * 100)} |")
-        else:
-            lines.append(f"| {name} | {_fmt(m['accuracy'])} | {_fmt(m['precision'])} | "
-                         f"{_fmt(m['recall'])} | {_fmt(m['f1'])} | "
-                         f"{_fmt(rep.roc_auc * 100)} |")
+            (tn, fp), (fn, tp) = rep.confusion
+            counts = [tp, fp, fn, tn]
+        cells = [name, *counts, *scalars, f"{rep.roc_auc * 100:.2f}"]
+        lines.append("| " + " | ".join(map(str, cells)) + " |")
+        out.append(",".join([name, str(frac), *scalars, f"{rep.roc_auc:.4f}"]))
+        for cls, points in rep.roc_points.items():
+            body = ["fpr,tpr,threshold"]
+            body += [f"{fpr:.6f},{tpr:.6f},{thr:.6g}" for fpr, tpr, thr in points]
+            safe = name.replace("+", "_")
+            files[os.path.join("roc", f"{safe}_class{cls}.csv")] = "\n".join(body) + "\n"
     for name, f in report.fusions.items():
         w = f["weights"]
         lines.append("")
         lines.append(f"Fusion {name}: selected weights ({w.w1:g}, {w.w2:g}); sweep "
                      + ", ".join(f"{w1:g}/{w2:g}={acc:.4f}" for w1, w2, acc in f["sweep"]))
     files["summary.md"] = "\n".join(lines) + "\n"
-
-    out = ["model,split,accuracy,precision,recall,f1,roc_auc"]
-    for name, rep in rows:
-        m = rep.metrics
-        out.append(f"{name},{report.config.test_fraction},{_fmt(m['accuracy'])},"
-                   f"{_fmt(m['precision'])},{_fmt(m['recall'])},{_fmt(m['f1'])},"
-                   f"{rep.roc_auc:.4f}")
     files["summary.csv"] = "\n".join(out) + "\n"
-
-    for name, rep in rows:
-        for cls, points in rep.roc_points.items():
-            safe = name.replace("+", "_")
-            body = ["fpr,tpr,threshold"]
-            body += [f"{fpr:.6f},{tpr:.6f},{thr:.6g}" for fpr, tpr, thr in points]
-            files[os.path.join("roc", f"{safe}_class{cls}.csv")] = "\n".join(body) + "\n"
 
     report_dir = os.fspath(report_dir)
     parent, base = os.path.split(os.path.abspath(report_dir))

@@ -1,9 +1,11 @@
 """Fits and scores run on one OpenBLAS thread and hand the caller's count back."""
 
+import ctypes
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,22 @@ def blas_threads():
 def _toy(rng, n=40):
     X = rng.normal(size=(n, 3))
     return X, (X[:, 0] > 0).astype(np.int64)
+
+
+@pytest.mark.parametrize("name", ["scipy_openblas_{}_num_threads64_",
+                                  "openblas_{}_num_threads64_", "openblas_{}_num_threads"])
+def test_thread_calls_are_found_under_each_openblas_name(name):
+    # numpy 1.22-1.26 wheels export only the 64_ pair without the scipy_ prefix
+    def get():
+        return 1
+
+    def put(n):
+        pass
+
+    lib = types.SimpleNamespace(**{name.format("get"): get, name.format("set"): put})
+    assert base._thread_calls(lib) == (get, put)
+    assert (get.argtypes, get.restype, put.argtypes) == ([], ctypes.c_int, [ctypes.c_int])
+    assert base._thread_calls(types.SimpleNamespace()) is None
 
 
 def test_fit_runs_on_one_thread_and_restores_the_count(monkeypatch, blas_threads):

@@ -40,19 +40,21 @@ def pair_count_auc(truth, scores):
 
 def test_confusion_hand_enumeration():
     cm = confusion([1, 1, 0], [1, 0, 0], k=2)
-    assert (cm.tp, cm.fn, cm.tn, cm.fp) == (1, 1, 1, 0)
+    # (tn, fp), (fn, tp): one true negative, one false negative, one true positive
+    assert cm.counts.tolist() == [[1, 0], [1, 1]]
 
 
 def test_confusion_perfect_is_diagonal():
     truth = [0, 1, 2, 3, 4, 2, 1]
     cm = confusion(truth, truth, k=5)
     assert (cm.counts == np.diag(np.diag(cm.counts))).all()
-    assert cm.total == len(truth)
+    assert cm.counts.sum() == len(truth)
 
 
 def test_confusion_paper_cells_sum_to_61():
     cm = ConfusionMatrix.from_binary_cells(35, 2, 1, 23)
-    assert cm.total == 61
+    assert cm.counts.sum() == 61
+    assert cm.counts.tolist() == [[23, 2], [1, 35]]
 
 
 def test_confusion_rejects_out_of_range():

@@ -3,6 +3,7 @@ import pytest
 
 from cardiofuse.models import (AdaBoostClassifier, MLPClassifier, ModelError,
                                ProbabilisticClassifier)
+from cardiofuse.models import adaboost
 from cardiofuse.models.adaboost import _best_stump, split_scan
 from cardiofuse.models.base import one_hot
 
@@ -121,13 +122,21 @@ def test_adaboost_one_round_solves_threshold_data():
     assert len(m.stumps_) == 1
 
 
-def test_adaboost_weights_renormalized_each_round():
+def test_adaboost_weights_renormalized_each_round(monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.normal(size=(60, 3))
     y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
+    sums = []
+
+    def recording_best_stump(scan, y, w):
+        sums.append(float(w.sum()))
+        return _best_stump(scan, y, w)
+
+    monkeypatch.setattr(adaboost, "_best_stump", recording_best_stump)
     m = AdaBoostClassifier(n_estimators=25, learning_rate=0.5).fit(X, y)
-    assert len(m.weight_history_sum_) > 0
-    for s in m.weight_history_sum_:
+    # one call per round; every round after the first runs on reweighted samples
+    assert len(m.stumps_) > 1 and len(sums) >= len(m.stumps_)
+    for s in sums:
         assert abs(s - 1.0) < 1e-12
 
 
@@ -202,7 +211,7 @@ def test_adaboost_at_chance_keeps_the_uniform_weight_stump():
     y = np.array([0, 1, 1, 0])
     m = AdaBoostClassifier(n_estimators=10).fit(X, y)
     assert m.stumps_ == [_best_stump(split_scan(X), y, np.full(4, 0.25))[:4]]
-    assert m.alphas_ == [0.0] and m.weight_history_sum_ == []
+    assert m.alphas_ == [0.0]
     assert (m.predict_proba(X) == 0.5).all()
 
 

@@ -129,14 +129,20 @@ def test_svm_multiclass_one_vs_rest_scores():
 
 
 def test_a_nan_row_is_an_error_for_every_model():
-    # refused before scoring: one-vs-rest normalisation must not turn a NaN row
-    # into a uniform row, nor a tree send it right as if it were data
+    # refused before fitting or scoring: one-vs-rest normalisation must not turn
+    # a NaN row into a uniform row, nor a tree send it right as if it were data
     rng = np.random.default_rng(4)
     X = rng.normal(size=(80, 3))
     for y in (rng.integers(0, 2, 80), rng.integers(0, 5, 80)):
         # ADA's boosted stumps are binary only; SVM's default kernel is the RBF
         models = [make_model(kind) for kind in MODEL_KINDS if kind != "ADA" or y.max() == 1]
         for m in models + [SVMClassifier(kernel="linear")]:
+            for j, bad in ((0, np.nan), (2, np.inf), (1, -np.inf)):
+                train = X.copy()
+                train[1, j] = bad
+                with pytest.raises(ModelError, match=re.escape(
+                        f"{m.kind} model cannot fit on row 1: feature {j} is {bad}")):
+                    m.fit(train, y)
             m.fit(X, y)
             for j, bad in ((0, np.nan), (2, np.inf), (1, -np.inf)):
                 rows = np.zeros((2, 3))

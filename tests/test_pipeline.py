@@ -321,7 +321,7 @@ def test_cli_repeat_reports_mean_and_std(tmp_path, capsys):
             == (tmp_path / "single" / "report.json").read_bytes())
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # usage error: malformed pair
     assert cli_main(["run", "--pairs", "lr"]) == 1
     # data error: missing file
@@ -336,6 +336,44 @@ def test_cli_exit_codes(tmp_path):
                                "fusion_pairs": [["LR", "DT"]]}))
     assert cli_main(["run", "--config", str(cfg),
                      "--report-dir", str(tmp_path / "rep")]) == 3
+    capsys.readouterr()
+
+    # data errors from the loader name the file, and the entry and field
+    latin1 = tmp_path / "latin1.data"
+    latin1.write_bytes("63,caf\xe9\n".encode("latin-1"))
+    assert cli_main(["summarize", "--data", str(latin1)]) == 2
+    assert "latin1.data: not UTF-8 text" in capsys.readouterr().err
+    assert cli_main(["summarize", "--data", str(tmp_path)]) == 2   # a directory
+    assert "Is a directory" in capsys.readouterr().err
+    schema = tmp_path / "schema.json"
+    for doc, message in [
+        ('{"name": "a", "kind": "continuous"}', "a schema document is a JSON list"),
+        ('[{"kind": "continuous"}]', "entry 0 has no 'name'"),
+        ('[{"name": "a"}]', "entry 0 has no 'kind'"),
+        ('[{"name": "a", "kind": "bogus"}]', "entry 0 ('a'): unknown attribute kind 'bogus'"),
+        ('[{"name": "a", "kind": "continuous"}, {"name": "a", "kind": "continuous"}]',
+         "entry 1 repeats the name 'a'"),
+        ('[{"name": "a",', "not a JSON document"),
+    ]:
+        schema.write_text(doc)
+        assert cli_main(["summarize", "--schema", str(schema)]) == 2, doc
+        assert f"schema.json: {message}" in capsys.readouterr().err, doc
+    schema.write_text('[{"kind": "continuous"}]')
+    assert cli_main(["run", "--schema", str(schema), "--report-dir", str(tmp_path / "rep")]) == 2
+    assert "stage 'load'" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+    # usage errors: a config file that is not there, and a report directory
+    # that cannot be made; neither leaves a report directory or staging entry
+    before = sorted(os.listdir(tmp_path))
+    assert cli_main(["run", "--config", str(tmp_path / "nope.json"),
+                     "--report-dir", str(tmp_path / "rep")]) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+    for report_dir in (bad / "rep", bad):   # under a regular file, and a regular file
+        assert cli_main(["run", "--pairs", "lr+dt", "--report-dir", str(report_dir)]) == 1
+        assert f"cannot write the report to {report_dir}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+    assert bad.read_text() == "1,2,3\n"
 
 
 def test_cli_non_finite_member_scores_are_a_training_error(tmp_path, capsys, monkeypatch):
@@ -447,10 +485,11 @@ def test_cli_config_file_carries_every_field(tmp_path):
     ({"fusion_pairs": [["ANN", 1]]}, "bad fusion pair ['ANN', 1]"),
     ({"fusion_pairs": 3}, "fusion_pairs must be a list"),
     ({"fusion_pairs": []}, "fusion_pairs must be a list"),
+    (b'{"task": "bin\xe4r"}', "cannot read config file"),   # raw bytes, not UTF-8
 ])
 def test_cli_rejects_malformed_config_files(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(content))
+    cfg.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     assert cli_main(["run", "--config", str(cfg),
                      "--report-dir", str(tmp_path / "rep")]) == 1
     assert message in capsys.readouterr().err
