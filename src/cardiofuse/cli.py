@@ -129,8 +129,13 @@ def cmd_validate(args) -> int:
     path = args.report
     if os.path.isdir(path):
         path = os.path.join(path, "report.json")
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read report file {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"not a run report: {path} is not a JSON object")
     try:
         checks = validate_against_paper(doc)
     except (KeyError, TypeError) as e:

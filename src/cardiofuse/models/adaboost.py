@@ -4,8 +4,11 @@ Each round picks the weighted-error-minimizing (feature, threshold,
 orientation) over all midpoints of sorted feature values, then reweights
 the samples. The features are sorted once per fit (``split_scan``); a round
 only sums its weighted class columns in that order. Scores are a softmax
-over the two classes' aggregated alpha-weighted votes, which ``vote_totals``
-sums stump after stump with one dense add per class.
+over the two classes' aggregated alpha-weighted votes. ``vote_totals``
+evaluates each distinct split test once per row and sums the stumps, in
+stump order, once per distinct pattern of test outcomes in the batch; at a
+small learning rate a few tests win most rounds, so a large batch holds only
+a handful of patterns.
 """
 
 from __future__ import annotations
@@ -103,15 +106,34 @@ class AdaBoostClassifier(ProbabilisticClassifier):
     def vote_totals(self, X):
         """Sum of alpha over the stumps that vote for each class, in stump order.
 
-        Each stump adds alpha or 0.0 to every row of both class totals; adding
-        0.0 leaves a total unchanged, so this is the per-row running sum.
+        Each distinct split test ``x[f] <= thr`` is evaluated once per row
+        (NaN is not left), and the rows are grouped by their pattern of test
+        outcomes. The stumps are then summed once per pattern present in the
+        batch: each adds alpha or 0.0 to both class totals of every pattern,
+        so every row gets the same additions in the same order as its own
+        per-row running sum, and the same bits whatever batch it is in.
         """
-        F = np.zeros((2, X.shape[0]))
+        tests = {}   # (feature, threshold) -> its column of the outcome matrix
+        for f, thr, _, _ in self.stumps_:
+            if f >= 0:
+                tests.setdefault((f, thr), len(tests))
+        feats = np.array([f for f, _ in tests], dtype=np.intp)
+        left = X[:, feats] <= np.array([thr for _, thr in tests], dtype=float)
+        if tests:
+            # one fixed-width key per row; the column gather may leave ``left``
+            # in Fortran order, and a void view needs contiguous key bytes
+            packed = np.ascontiguousarray(np.packbits(left, axis=1))
+        else:   # only the no-split stump: every row has the one empty pattern
+            packed = np.zeros((X.shape[0], 1), dtype=np.uint8)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        patterns = left[first]
+        F = np.zeros((2, len(first)))
         for (f, thr, lc, rc), alpha in zip(self.stumps_, self.alphas_):
-            left = X[:, f] <= thr if f >= 0 else False   # NaN is not left
-            F[lc] += np.where(left, alpha, 0.0)
-            F[rc] += np.where(left, 0.0, alpha)
-        return F.T.copy()   # rows x classes in C order, as the scores always came
+            goes_left = patterns[:, tests[f, thr]] if f >= 0 else False
+            F[lc] += np.where(goes_left, alpha, 0.0)
+            F[rc] += np.where(goes_left, 0.0, alpha)
+        return F[:, inverse].T.copy()   # rows x classes in C order, as the scores always came
 
     def _scores(self, X):
         return softmax(self.vote_totals(X))

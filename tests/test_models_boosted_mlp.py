@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cardiofuse.models import (AdaBoostClassifier, MLPClassifier, ModelError,
                                ProbabilisticClassifier)
@@ -259,6 +261,89 @@ def test_vote_totals_equal_the_per_stump_loop_bit_for_bit():
         for rows in (Xq[:, :d], Xq[:1, :d], Xq[7:8, :d], Xq[:0, :d]):
             assert np.array_equal(m.vote_totals(rows), _vote_totals_loop(m, rows))
             assert m.vote_totals(rows).flags.c_contiguous
+
+
+_GRID = np.arange(-16, 17) / 8   # thresholds and most cells share this grid, so x == thr occurs
+
+
+def _random_stumps(rng, d, n_tests, n_stumps, degenerate):
+    """``n_tests`` distinct (feature, grid threshold) tests, each used at least
+    once, repeated up to ``n_stumps`` stumps in random order, with no-split
+    stumps mixed in at the rate ``degenerate``."""
+    pool = [(f, float(t)) for f in range(d) for t in _GRID]
+    tests = [pool[i] for i in rng.choice(len(pool), size=n_tests, replace=False)]
+    picks = list(range(n_tests))
+    if n_tests:
+        picks += list(rng.integers(0, n_tests, n_stumps - n_tests))
+    stumps = []
+    for i in rng.permutation(picks):
+        lc = int(rng.integers(2))
+        stumps.append((*tests[i], lc, int(rng.integers(2)) if rng.random() < 0.2 else 1 - lc))
+    for at in np.flatnonzero(rng.random(len(stumps) + 1) < degenerate):
+        c = int(rng.integers(2))
+        stumps.insert(int(at), (-1, -np.inf, c, c))
+    if not stumps:
+        stumps = [(-1, -np.inf, 1, 1)]
+    alphas = rng.random(len(stumps)) * 10.0 ** rng.integers(-4, 1, len(stumps))
+    alphas[rng.random(len(stumps)) < 0.05] = 0.0
+    return stumps, [float(a) for a in alphas]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n_tests=st.integers(0, 12),
+       extra=st.integers(0, 250), degenerate=st.sampled_from([0.0, 0.01, 0.3]),
+       n=st.integers(0, 50))
+@example(seed=0, d=2, n_tests=3, extra=197, degenerate=0.0, n=400)     # a few tests, many repeats
+@example(seed=1, d=6, n_tests=150, extra=50, degenerate=0.01, n=300)   # keys of 19 bytes
+@example(seed=2, d=3, n_tests=65, extra=0, degenerate=0.0, n=1)        # 65 tests: one bit past 8 key bytes
+@example(seed=3, d=1, n_tests=0, extra=0, degenerate=0.0, n=5)         # only the no-split stump
+@example(seed=4, d=3, n_tests=0, extra=0, degenerate=0.0, n=0)         # and no rows
+@example(seed=5, d=2, n_tests=4, extra=30, degenerate=0.3, n=0)       # no rows, many no-split stumps
+def test_vote_totals_equal_the_loop_on_random_stumps(seed, d, n_tests, extra, degenerate, n):
+    rng = np.random.default_rng(seed)
+    m = AdaBoostClassifier()
+    m.stumps_, m.alphas_ = _random_stumps(rng, d, n_tests, n_tests + extra, degenerate)
+    X = rng.choice(_GRID, size=(n, d)) + np.where(rng.random((n, d)) < 0.3,
+                                                  rng.normal(scale=1e-3, size=(n, d)), 0.0)
+    X[rng.random((n, d)) < 0.1] = np.nan   # NaN fails x <= threshold and votes right
+    F = m.vote_totals(X)
+    assert F.shape == (n, 2) and F.flags.c_contiguous
+    assert np.array_equal(F, _vote_totals_loop(m, X))
+    # batch independence: each row alone gets the bits it gets inside the batch
+    alone = np.array([m.vote_totals(X[i:i + 1])[0] for i in range(n)]).reshape(n, 2)
+    assert np.array_equal(alone, F)
+
+
+def test_pipeline_ada_scores_a_cohort_as_the_loop(monkeypatch):
+    """The master-seed-0 binary 80:20 ADA, its 200 stumps on a few distinct tests,
+    scores a 20,000-row resample of the bundled table as the per-stump loop does."""
+    from cardiofuse import pipeline
+    from cardiofuse.dataset import bundled_data_path, load_csv
+    from cardiofuse.models.base import softmax
+    from cardiofuse.preprocess import apply_scaler, impute_most_frequent
+    fits, scalers = {}, {}
+    train_one, fit_scaler = pipeline._train_one, pipeline.fit_scaler
+
+    def capture_fit(kind, hp, X, y, class_count):
+        fits[kind] = train_one(kind, hp, X, y, class_count)
+        return fits[kind]
+
+    def capture_scaler(rows, kind):
+        scalers[kind] = fit_scaler(rows, kind)
+        return scalers[kind]
+
+    monkeypatch.setattr(pipeline, "_train_one", capture_fit)
+    monkeypatch.setattr(pipeline, "fit_scaler", capture_scaler)
+    pipeline.run_experiment(pipeline.RunConfig(task="binary", test_fraction=0.2, master_seed=0,
+                                               fusion_pairs=[("ADA", "DT")]))
+    model = fits["ADA"]
+    assert len(model.stumps_) == 200 and len({s[:2] for s in model.stumps_}) < 10
+    table = impute_most_frequent(load_csv(bundled_data_path()))
+    rows = table.rows[np.random.default_rng(0).integers(0, table.n_rows, 20000)]
+    X = apply_scaler(scalers["zscore"], rows)
+    loop = _vote_totals_loop(model, X)
+    assert np.array_equal(model.vote_totals(X), loop)
+    assert np.array_equal(model.predict_proba(X), softmax(loop))
 
 
 def test_all_models_honor_probability_contract():

@@ -375,6 +375,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == before
     assert bad.read_text() == "1,2,3\n"
 
+    # usage errors: a report file that is not UTF-8, or is JSON but not an object
+    report = tmp_path / "report.json"
+    report.write_bytes(b"\xff\xfe")
+    assert cli_main(["validate", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read report file {report}: ")
+    assert err.count("\n") == 1
+    report.write_text("[1, 2]")
+    assert cli_main(["validate", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"config error: not a run report: {report} is not a JSON object\n"
+
 
 def test_cli_non_finite_member_scores_are_a_training_error(tmp_path, capsys, monkeypatch):
     from cardiofuse.models import MLPClassifier
