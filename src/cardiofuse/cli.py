@@ -71,6 +71,8 @@ def _config_from_args(args) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 cfg = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{args.config}: not a JSON document ({e})") from e
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config file {args.config}: "
                               f"{e.strerror if isinstance(e, OSError) else e}") from e
@@ -132,6 +134,8 @@ def cmd_validate(args) -> int:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: not a JSON document ({e})") from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"cannot read report file {path}: {e}") from e
     if not isinstance(doc, dict):
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
         if args.command == "summarize":
             return cmd_summarize(args)
         return EXIT_USAGE
-    except (ConfigError, json.JSONDecodeError) as e:
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError) as e:

@@ -65,18 +65,11 @@ def fuse(d1: np.ndarray, d2: np.ndarray, w: FusionWeights) -> FusedScores:
 
 
 def _first_max(s: np.ndarray) -> np.ndarray:
-    """Index of each row's first maximum, scanning columns: a later column wins
-    only when strictly greater. Equals np.argmax(s, axis=1) on finite scores;
-    two columns give a boolean array."""
+    """Index of each row's first maximum. Two columns give a boolean array,
+    column 1 where it is strictly greater; more go by np.argmax(s, axis=1)."""
     if s.shape[1] == 2:
         return s[:, 1] > s[:, 0]
-    pred = np.zeros(s.shape[0], dtype=np.int64)
-    best = s[:, 0].copy()
-    for j in range(1, s.shape[1]):
-        col = s[:, j]
-        pred[col > best] = j
-        np.maximum(best, col, out=best)
-    return pred
+    return np.argmax(s, axis=1)
 
 
 def decide(scores: np.ndarray) -> np.ndarray:

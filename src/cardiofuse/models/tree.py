@@ -10,12 +10,15 @@ splitter draws one uniform threshold per candidate feature. Leaves store class
 frequencies.
 
 ``score_forest`` scores all trees at once from one stacked table, by one of two
-paths chosen from shapes alone. A batch of more rows than the forest has split
-nodes times W, the 64-bit words of its largest tree's leaf bitvector, goes by
-QuickScorer's bitvectors: a per-feature table lookup and an AND give each row
-the exit leaf of every tree at once, from tables that cost no more than the
-batch. A smaller batch, or DT's one tree, descends all (tree, row) pairs level
-by level. Both paths give the same bits.
+paths chosen from shapes alone. When no tree has more than 64 leaves, a batch of
+more rows than the forest has split nodes goes by QuickScorer's bitvectors, one
+64-bit word per tree: a per-feature table lookup and an AND give each row the
+exit leaf of every tree at once, from tables that cost no more than the batch.
+Any other batch, DT's one tree, or a forest with a tree past 64 leaves,
+descends all (tree, row) pairs level by level. The last is a trade for less
+code: on 20,000 rows the descent takes two to three times as long as two-word
+bitvectors would, but the desk runs score such a forest on 61 or 91 rows,
+which descend either way. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class Tree:
 # also the most (tree, row) pairs that one chunk of the descent moves
 _BATCH_ROWS = 8192
 
-# the most 64-bit words of (row, tree) bitvectors that one chunk of the
+# the most (row, tree) bitvectors, one 64-bit word each, that one chunk of the
 # bitvector path ANDs
 _BATCH_WORDS = 32768
 
@@ -309,14 +312,14 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     The trees' node arrays are stacked end to end, and one of two paths finds
     the exit leaf of every (tree, row) pair; both send a row right at a split
     where ``~(x <= threshold)``, so NaN goes right. A batch with more rows than
-    split nodes times W, the 64-bit words of the largest tree's leaf bitvector,
-    goes by bitvectors (``_exit_leaves_by_bitvectors``): their tables take
-    8 x splits x trees x W bytes, so at most 8 bytes per (row, tree) pair of
-    the batch, and a row costs one lookup per feature. A smaller batch, or a
-    one-tree forest, whose lone tree the descent walks faster at every batch
-    size, descends level by level (``_exit_leaves_by_descent``), the reference
-    the tests hold the bitvectors to. Each row adds its trees' leaves in tree
-    order, so both paths give the same bits.
+    split nodes, in a forest of trees of at most 64 leaves, goes by one-word
+    bitvectors (``_exit_leaves_by_bitvectors``): their tables take at most 8
+    bytes per (row, tree) pair of the batch, and a row costs one lookup per
+    feature. Any other batch descends level by level
+    (``_exit_leaves_by_descent``), the reference the tests hold the bitvectors
+    to; so does a one-tree forest, whose lone tree the descent walks faster,
+    and a forest with a tree past 64 leaves (see the module docstring). Each
+    row adds its trees' leaves in tree order, so both paths give the same bits.
     """
     size = np.array([len(t.feature) for t in trees])
     base = np.cumsum(size) - size
@@ -331,7 +334,8 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     child[leaf] = np.flatnonzero(leaf)[:, None]
     value = np.concatenate([t.value[t.feature < 0] for t in trees])   # leaves' only
     X = np.ascontiguousarray(X, dtype=np.float64)
-    bitvectors = len(trees) > 1 and len(X) > np.count_nonzero(~leaf) * _words(leaf, base)
+    bitvectors = (len(trees) > 1 and np.add.reduceat(leaf, base).max() <= 64
+                  and len(X) > np.count_nonzero(~leaf))
     exits = _exit_leaves_by_bitvectors if bitvectors else _exit_leaves_by_descent
     out = np.empty((len(X), value.shape[1]))
     for r, at in exits(feature, threshold, child, before, base, X):
@@ -341,20 +345,14 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     return out / len(trees)
 
 
-def _words(leaf, base):
-    """64-bit words that hold a bit for every leaf of the largest tree."""
-    return -(-int(np.add.reduceat(leaf, base).max()) // 64)
-
-
 def _exit_leaves_by_descent(feature, threshold, child, before, base, X):
     """(first row, tree-by-row exit leaves) of each chunk of ``X``, each leaf
     numbered as ``before`` counts it.
 
     Each leaf is its own child with threshold +inf (written over ``feature``
-    and ``threshold`` in place), so all (tree, row) pairs descend by the same
-    array steps until none moves. Pairs go by whole rows, at most
-    ``_BATCH_ROWS`` (or one row's) at a time; landed ones are dropped once
-    they are half of those left.
+    and ``threshold`` in place), so all (tree, row) pairs of a chunk, at most
+    ``_BATCH_ROWS`` pairs (or one row's), descend by the same array steps
+    until none moves.
     """
     leaf = feature < 0
     feature[leaf], threshold[leaf] = 0, np.inf
@@ -365,16 +363,12 @@ def _exit_leaves_by_descent(feature, threshold, child, before, base, X):
     for r in range(0, n, step):
         b = min(step, n - r)
         at = np.repeat(base, b)   # tree-major pairs: tree t, row r + i at t * b + i
-        live, cur, off = np.arange(len(at)), at, np.tile(np.arange(r, r + b) * d, len(base))
+        off = np.tile(np.arange(r, r + b) * d, len(base))
         while True:
-            nxt = child[2 * cur + ~(Xf[off + feature[cur]] <= threshold[cur])]
-            moved = nxt != cur
-            cur, moving = nxt, np.count_nonzero(moved)
-            if 2 * moving <= len(cur):
-                at[live] = cur
-                if not moving:
-                    break
-                live, cur, off = live[moved], cur[moved], off[moved]
+            nxt = child[2 * at + ~(Xf[off + feature[at]] <= threshold[at])]
+            if np.array_equal(nxt, at):
+                break
+            at = nxt
         yield r, before[at].reshape(len(base), b)
 
 
@@ -382,26 +376,23 @@ def _exit_leaves_by_bitvectors(feature, threshold, child, before, base, X):
     """(first row, tree-by-row exit leaves) of each chunk of ``X``, each leaf
     numbered as ``before`` counts it.
 
-    QuickScorer (Lucchese et al., SIGIR 2015). Bit j of a tree's ``words``
-    64-bit words stands for its j-th leaf in preorder. A split's mask clears
-    the bits of its left subtree's leaves, from its own first leaf up to the
-    first leaf of its right child. The AND of the masks of every split that
-    sends a row right keeps the row's exit leaf as its lowest set bit. For each
-    feature, that feature's splits sorted by threshold give a table whose row c
-    is the AND of the first c masks; ``searchsorted`` counts the thresholds
-    below x, the splits where ``~(x <= threshold)``, NaN past all of them. A
-    chunk of at most ``_BATCH_WORDS`` words (or one row's) ANDs the table rows
-    its rows pick, one per feature.
+    QuickScorer (Lucchese et al., SIGIR 2015), for trees of at most 64 leaves.
+    Bit j of a tree's 64-bit word stands for its j-th leaf in preorder. A
+    split's mask clears the bits of its left subtree's leaves, from its own
+    first leaf up to the first leaf of its right child. The AND of the masks of
+    every split that sends a row right keeps the row's exit leaf as its lowest
+    set bit. For each feature, that feature's splits sorted by threshold give a
+    table whose row c is the AND of the first c masks; ``searchsorted`` counts
+    the thresholds below x, the splits where ``~(x <= threshold)``, NaN past
+    all of them. A chunk of at most ``_BATCH_WORDS`` words (or one row's) ANDs
+    the table rows its rows pick, one per feature.
     """
-    T, (n, d), words = len(base), X.shape, _words(feature < 0, base)
+    T, (n, d) = len(base), X.shape
     split = np.flatnonzero(feature >= 0)
     tree = np.searchsorted(base, split, side="right") - 1
     first = before[base]   # each tree's first leaf
     lo, hi = before[split] - first[tree], before[child[split, 1]] - first[tree]
-    shift = 64 * np.arange(words)   # the first leaf of each word
-    masks = ~(_LOW_BITS[np.clip(hi[:, None] - shift, 0, 64)]
-              ^ _LOW_BITS[np.clip(lo[:, None] - shift, 0, 64)])
-    col = tree[:, None] * words + np.arange(words)
+    masks = ~(_LOW_BITS[hi] ^ _LOW_BITS[lo])
     order = np.lexsort((threshold[split], feature[split]))
     bounds = np.searchsorted(feature[split][order], np.arange(d + 1))
     ones = np.iinfo(np.uint64).max
@@ -410,22 +401,19 @@ def _exit_leaves_by_bitvectors(feature, threshold, child, before, base, X):
         if s == e:
             continue
         i = order[s:e]
-        table = np.full((e - s + 1, T * words), ones, dtype=np.uint64)
-        table[np.arange(1, e - s + 1)[:, None], col[i]] = masks[i]
+        table = np.full((e - s + 1, T), ones, dtype=np.uint64)
+        table[np.arange(1, e - s + 1), tree[i]] = masks[i]
         np.bitwise_and.accumulate(table, axis=0, out=table)
         lookups.append((table, np.searchsorted(threshold[split[i]], X[:, j])))
-    step = max(1, _BATCH_WORDS // (T * words))   # rows per chunk
+    step = max(1, _BATCH_WORDS // T)   # rows per chunk
     for r in range(0, n, step):
         b = min(step, n - r)
-        bits = np.full((b, T * words), ones, dtype=np.uint64)
+        bits = np.full((b, T), ones, dtype=np.uint64)
         for table, rows in lookups:
             bits &= table[rows[r:r + b]]
-        # the lowest set bit of the first nonzero word, a power of two that
-        # float64 holds exactly: frexp gives its exponent plus one (0 for 0)
-        for w in range(words - 1, -1, -1):
-            word = bits[:, w::words]
-            bit = np.frexp((word & -word).astype(np.float64))[1] + (64 * w - 1)
-            leaf = bit if w == words - 1 else np.where(word != 0, bit, leaf)
+        # the lowest set bit, a power of two that float64 holds exactly:
+        # frexp gives its exponent plus one
+        leaf = np.frexp((bits & -bits).astype(np.float64))[1] - 1
         yield r, (leaf + first).T
 
 

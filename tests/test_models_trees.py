@@ -236,12 +236,12 @@ def _random_tree(rng, leaves, d, k):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       leaves=st.lists(st.integers(1, 140), min_size=1, max_size=4),
+       leaves=st.lists(st.integers(1, 64), min_size=1, max_size=4),
        n=st.integers(0, 30), d=st.integers(1, 4), k=st.integers(1, 3),
        chunk=st.sampled_from([1, 7, None]))
-@example(seed=0, leaves=[130, 1, 65], n=30, d=3, k=2, chunk=7)   # W = 3, a one-leaf tree
+@example(seed=0, leaves=[64, 1, 33], n=30, d=3, k=2, chunk=7)   # a full word, a one-leaf tree
 @example(seed=1, leaves=[1, 1], n=1, d=2, k=2, chunk=1)   # no split at all
-@example(seed=2, leaves=[64, 65], n=0, d=2, k=3, chunk=None)
+@example(seed=2, leaves=[64, 64], n=0, d=2, k=3, chunk=None)
 def test_bitvectors_equal_a_walk_of_each_tree_bit_for_bit(seed, leaves, n, d, k, chunk):
     rng = np.random.default_rng(seed)
     trees = [_random_tree(rng, m, d, k) for m in leaves]
@@ -251,36 +251,34 @@ def test_bitvectors_equal_a_walk_of_each_tree_bit_for_bit(seed, leaves, n, d, k,
     want = np.zeros((n, k))
     for tree in trees:   # summed tree after tree, as a running total
         want += np.array([_walk(tree, x) for x in X]).reshape(n, k)
-    words = -(-max(leaves) // 64)
     got = _score_by("_exit_leaves_by_bitvectors", trees, X,   # chunks of ``chunk`` rows
-                    chunk and chunk * len(trees) * words)
+                    chunk and chunk * len(trees))
     assert np.array_equal(got, want / len(trees))
     assert np.array_equal(score_forest(trees, X), got)
 
 
 @pytest.mark.parametrize("wide", [False, True])
-def test_a_batch_takes_bitvectors_past_splits_times_words(monkeypatch, wide):
+def test_a_batch_takes_bitvectors_past_its_splits(monkeypatch, wide):
     rng = np.random.default_rng(19)
-    if wide:   # trees past 64 leaves: two words each
-        trees = [_random_tree(rng, 70 + t, 4, 3) for t in range(3)]
-    else:
-        trees = RandomForestClassifier(n_estimators=6, seed=2).fit(*blob_data(rng, 300, 4)).trees_
+    trees = RandomForestClassifier(n_estimators=6, seed=2).fit(*blob_data(rng, 300, 4)).trees_
+    trees.append(_random_tree(rng, 65 if wide else 64, 4, 2))   # the largest tree
     splits = sum(int((t.feature >= 0).sum()) for t in trees)
-    words = -(-max(int((t.feature < 0).sum()) for t in trees) // 64)
-    assert words == (2 if wide else 1)
     calls = []
     for name in _PATHS:
         path = getattr(tree_mod, name)
         monkeypatch.setattr(tree_mod, name,
                             lambda *a, path=path, name=name: calls.append(name) or path(*a))
-    rows = rng.normal(size=(splits * words + 1, 4))
+    rows = rng.normal(size=(splits + 1, 4))
     at, past = score_forest(trees, rows[:-1]), score_forest(trees, rows)
     score_forest(trees[:1], rows)   # a lone tree descends at any batch size
-    assert calls == [*_PATHS, _PATHS[0]]
+    # a tree past 64 leaves has no one-word bitvector: its forest descends at any batch size
+    assert calls == [_PATHS[0], _PATHS[0] if wide else _PATHS[1], _PATHS[0]]
     assert np.array_equal(at, past[:-1])
     monkeypatch.undo()
-    assert np.array_equal(past, _score_by("_exit_leaves_by_descent", trees, rows))
-    assert np.array_equal(at, _score_by("_exit_leaves_by_bitvectors", trees, rows[:-1]))
+    want = np.zeros((len(rows), 2))
+    for tree in trees:   # summed tree after tree, as a running total
+        want += np.array([_walk(tree, x) for x in rows])
+    assert np.array_equal(past, want / len(trees))
 
 
 def test_forest_unanimous_vote_scores_one():
@@ -659,5 +657,8 @@ def test_pipeline_forests_score_alike_on_both_paths(monkeypatch, task):
     table = impute_most_frequent(load_csv(bundled_data_path()))   # RF reads unscaled rows
     X = table.rows[np.random.default_rng(0).integers(0, table.n_rows, 2000)]
     descent = _score_by("_exit_leaves_by_descent", model.trees_, X)
-    assert np.array_equal(_score_by("_exit_leaves_by_bitvectors", model.trees_, X), descent)
+    if task == "multiclass":   # a tree past 64 leaves: every batch descends
+        assert max(int((t.feature < 0).sum()) for t in model.trees_) > 64
+    else:
+        assert np.array_equal(_score_by("_exit_leaves_by_bitvectors", model.trees_, X), descent)
     assert np.array_equal(model.predict_proba(X), descent)

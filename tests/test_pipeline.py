@@ -386,6 +386,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["validate", "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"config error: not a run report: {report} is not a JSON object\n"
 
+    # usage errors: a config or report file that is not JSON names the file
+    for argv, path in ((["run", "--config", str(cfg), "--report-dir", str(tmp_path / "rep")], cfg),
+                       (["validate", "--report", str(report)], report)):
+        path.write_text('{"a":')
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not a JSON document ("), err
+        assert err.count("\n") == 1
+
 
 def test_cli_non_finite_member_scores_are_a_training_error(tmp_path, capsys, monkeypatch):
     from cardiofuse.models import MLPClassifier
@@ -497,6 +506,7 @@ def test_cli_config_file_carries_every_field(tmp_path):
     ({"fusion_pairs": 3}, "fusion_pairs must be a list"),
     ({"fusion_pairs": []}, "fusion_pairs must be a list"),
     (b'{"task": "bin\xe4r"}', "cannot read config file"),   # raw bytes, not UTF-8
+    (b'{"a":', "cfg.json: not a JSON document (Expecting value"),
 ])
 def test_cli_rejects_malformed_config_files(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
