@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from .dataset import (DataError, bundled_data_path, load_csv,
-                      load_schema_file, summarize)
+from .dataset import (DataError, ParseError, bundled_data_path, load_csv,
+                      load_schema_file, read_json, summarize)
 from .models.base import ModelError
 from .pipeline import (DATA_STAGES, ConfigError, PipelineError, RunConfig,
                        emit_report, run_experiment, validate_against_paper)
@@ -69,13 +68,11 @@ def _config_from_args(args) -> RunConfig:
     cfg = {}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as f:
-                cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{args.config}: not a JSON document ({e})") from e
-        except (OSError, UnicodeDecodeError) as e:
-            raise ConfigError(f"cannot read config file {args.config}: "
-                              f"{e.strerror if isinstance(e, OSError) else e}") from e
+            cfg = read_json(args.config)
+        except ParseError as e:
+            raise ConfigError(str(e)) from None
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e.strerror}") from e
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: a config file holds one JSON object")
         unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(RunConfig)})
@@ -132,18 +129,17 @@ def cmd_validate(args) -> int:
     if os.path.isdir(path):
         path = os.path.join(path, "report.json")
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: not a JSON document ({e})") from e
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"cannot read report file {path}: {e}") from e
+        doc = read_json(path)   # a missing file is an OSError: a data error
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"not a run report: {path} is not a JSON object")
     try:
         checks = validate_against_paper(doc)
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"not a run report: missing field {e}") from e
+    except KeyError as e:
+        raise ConfigError(f"not a run report: {path}: missing field {e}") from None
+    except ConfigError as e:
+        raise ConfigError(f"not a run report: {path}: {e}") from None
     for c in checks:
         status = c["status"].upper()
         note = f" [{c['note']}]" if c.get("note") else ""

@@ -201,6 +201,14 @@ def _read_text(path) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
+def read_json(path):
+    """The JSON document in a UTF-8 file; ParseError names the file if it is neither."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: not a JSON document ({e})") from None
+
+
 def summarize(table: DataTable) -> dict:
     """Per-column summary: mean/std for continuous, code percentages otherwise.
 
@@ -237,10 +245,7 @@ def load_schema_file(path) -> list[AttributeSpec]:
     A file that is not such a list raises ParseError or SchemaViolation,
     naming the file and, for a bad entry, the entry and its field.
     """
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: not a JSON document ({e})") from None
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise SchemaViolation(f"{path}: a schema document is a JSON list of attribute entries")
     schema = []

@@ -6,10 +6,8 @@ round(sqrt(d)) unless set.
 All trees grow in lockstep on the weighted distinct rows of their bootstraps,
 from one flat row buffer split in place (``tree.grow_forest``). Scores are
 the mean of the trees' leaf frequency vectors (soft voting), with the exit
-leaves of all trees found at once (``tree.score_forest``): by one-word leaf
-bitvectors for a batch of more rows than the forest has split nodes when no
-tree has more than 64 leaves, and by a descent otherwise; argmax of the mean is
-the majority vote under hard leaves.
+leaves of all trees found at once (``tree.score_forest``); argmax of the mean
+is the majority vote under hard leaves.
 """
 
 from __future__ import annotations

@@ -9,16 +9,15 @@ midpoint between distinct values of the candidate features; the "random"
 splitter draws one uniform threshold per candidate feature. Leaves store class
 frequencies.
 
-``score_forest`` scores all trees at once from one stacked table, by one of two
-paths chosen from shapes alone. When no tree has more than 64 leaves, a batch of
-more rows than the forest has split nodes goes by QuickScorer's bitvectors, one
-64-bit word per tree: a per-feature table lookup and an AND give each row the
-exit leaf of every tree at once, from tables that cost no more than the batch.
-Any other batch, DT's one tree, or a forest with a tree past 64 leaves,
-descends all (tree, row) pairs level by level. The last is a trade for less
-code: on 20,000 rows the descent takes two to three times as long as two-word
-bitvectors would, but the desk runs score such a forest on 61 or 91 rows,
-which descend either way. Both paths give the same bits.
+A tree is its preorder arrays, so a split's left child is the next node and
+only the right child is stored. ``score_forest`` scores all trees at once from
+one stacked table, by one of two paths chosen from shapes alone. When no tree
+has more than 64 leaves, a batch of more rows than the forest has split nodes
+goes by QuickScorer's bitvectors, one 64-bit word per tree: a per-feature table
+lookup and an AND give each row the exit leaf of every tree at once, from
+tables that cost no more than the batch. Any other batch, DT's one tree, or a
+forest with a tree past 64 leaves, descends all (tree, row) pairs level by
+level. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -51,15 +50,14 @@ def check_tree_params(criterion, max_depth, max_features):
 class Tree:
     """A fitted binary tree as parallel arrays in preorder.
 
-    Node i sends rows with x[feature[i]] <= threshold[i] to node left[i]
-    and the rest to node right[i]; feature[i] == -1 marks a leaf, whose
-    class-frequency vector is value[i].
+    Node i sends rows with x[feature[i]] <= threshold[i] to its left child,
+    the next node in preorder, i + 1, and the rest to node right[i];
+    feature[i] == -1 marks a leaf, whose class-frequency vector is value[i].
     """
 
-    def __init__(self, feature, threshold, left, right, value):
+    def __init__(self, feature, threshold, right, value):
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
 
@@ -75,23 +73,20 @@ class Tree:
             right.append(-1)
             if "dist" not in node:
                 stack += [(node["right"], len(nodes) - 1), (node["left"], -1)]
-        feature = [node.get("feature", -1) for node in nodes]
-        # a split's left child is the node laid out right after it
-        left = [i + 1 if f >= 0 else -1 for i, f in enumerate(feature)]
         k = len(next(node["dist"] for node in nodes if "dist" in node))
-        return cls(feature, [node.get("threshold", 0.0) for node in nodes], left, right,
+        return cls([node.get("feature", -1) for node in nodes],
+                   [node.get("threshold", 0.0) for node in nodes], right,
                    [node.get("dist", np.zeros(k)) for node in nodes])
 
     def to_dict(self) -> dict:
         """The nested v1 node document; children follow their parent, so build from the end."""
-        docs = [None] * len(self.feature)
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        right, value = self.right.tolist(), self.value.tolist()
+        docs = [None] * len(feature)
         for i in range(len(docs) - 1, -1, -1):
-            if self.feature[i] < 0:
-                docs[i] = {"dist": self.value[i].tolist()}
-            else:
-                docs[i] = {"feature": int(self.feature[i]),
-                           "threshold": float(self.threshold[i]),
-                           "left": docs[self.left[i]], "right": docs[self.right[i]]}
+            docs[i] = {"dist": value[i]} if feature[i] < 0 else {
+                "feature": feature[i], "threshold": threshold[i],
+                "left": docs[i + 1], "right": docs[right[i]]}
         return docs[0]
 
 
@@ -301,25 +296,24 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
     value[pos[feature[pos] < 0]] = counts / counts.sum(axis=1, keepdims=True)
     threshold = np.empty(len(pos))
     threshold[pos] = np.concatenate(fields.pop(0))
-    left = np.where(feature >= 0, np.arange(len(pos)) - np.repeat(base, size) + 1, -1)
-    return [Tree(*(a[i:i + n] for a in (feature, threshold, left, right, value)))
+    return [Tree(*(a[i:i + n] for a in (feature, threshold, right, value)))
             for i, n in zip(base, size)]
 
 
 def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     """Mean leaf class-frequency vector of every row of ``X`` over ``trees``.
 
-    The trees' node arrays are stacked end to end, and one of two paths finds
-    the exit leaf of every (tree, row) pair; both send a row right at a split
-    where ``~(x <= threshold)``, so NaN goes right. A batch with more rows than
-    split nodes, in a forest of trees of at most 64 leaves, goes by one-word
-    bitvectors (``_exit_leaves_by_bitvectors``): their tables take at most 8
-    bytes per (row, tree) pair of the batch, and a row costs one lookup per
-    feature. Any other batch descends level by level
+    The trees' node arrays are stacked end to end, a split's left child still
+    the next node, and one of two paths finds the exit leaf of every (tree,
+    row) pair; both send a row right where ``~(x <= threshold)``, so NaN goes
+    right. A batch with more rows than split nodes, in a forest of trees of at
+    most 64 leaves, goes by one-word bitvectors (``_exit_leaves_by_bitvectors``):
+    their tables take at most 8 bytes per (row, tree) pair of the batch, and a
+    row costs one lookup per feature. Any other batch descends level by level
     (``_exit_leaves_by_descent``), the reference the tests hold the bitvectors
     to; so does a one-tree forest, whose lone tree the descent walks faster,
-    and a forest with a tree past 64 leaves (see the module docstring). Each
-    row adds its trees' leaves in tree order, so both paths give the same bits.
+    and a forest with a tree past 64 leaves. Each row adds its trees' leaves in
+    tree order, so both paths give the same bits.
     """
     size = np.array([len(t.feature) for t in trees])
     base = np.cumsum(size) - size
@@ -327,10 +321,9 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     threshold = np.concatenate([t.threshold for t in trees])
     leaf = feature < 0
     before = np.cumsum(leaf, dtype=np.int32) - leaf   # leaves ahead: a leaf's row in ``value``
-    # node i goes to child[i, 0] (left) or child[i, 1] (right); a leaf to itself
-    child = np.stack([np.concatenate([t.left for t in trees]),
-                      np.concatenate([t.right for t in trees])], axis=1)
-    child += np.repeat(base, size)[:, None]
+    # node i goes to child[i, 0] = i + 1 (left) or child[i, 1] (right); a leaf to itself
+    child = np.stack([np.arange(1, len(feature) + 1),
+                      np.concatenate([t.right for t in trees]) + np.repeat(base, size)], axis=1)
     child[leaf] = np.flatnonzero(leaf)[:, None]
     value = np.concatenate([t.value[t.feature < 0] for t in trees])   # leaves' only
     X = np.ascontiguousarray(X, dtype=np.float64)

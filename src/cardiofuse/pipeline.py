@@ -382,12 +382,19 @@ def validate_against_paper(report_doc: dict) -> list[dict]:
     """Compare fusion accuracies in a report document against the paper values.
 
     Returns one check per configured fusion with its margin; misses are
-    reported, never raised. A fused accuracy below the best member gets an
-    informational no-improvement note.
+    reported, never raised, and a fused accuracy below the best member gets a
+    no-improvement note. A missing field raises KeyError, a malformed one ConfigError.
     """
-    task = report_doc["config"]["task"]
-    frac = round(report_doc["config"]["test_fraction"], 2)
-    tol = VALIDATE_TOLERANCE[task]
+    for key in ("config", "members", "fusions"):
+        if not isinstance(report_doc[key], dict):
+            raise ConfigError(f"{key} is not a JSON object")
+    task, frac = report_doc["config"]["task"], report_doc["config"]["test_fraction"]
+    RunConfig(task=task, test_fraction=frac)   # a known task and a number in (0, 1)
+    for key in ("members", "fusions"):
+        for name, entry in report_doc[key].items():
+            if not isinstance(entry, dict) or not isinstance(entry["accuracy"], (int, float)):
+                raise ConfigError(f"{key} entry {name!r} is not an object with a numeric accuracy")
+    frac, tol = round(frac, 2), VALIDATE_TOLERANCE[task]
     members = report_doc["members"]
     checks = []
     for name, f in report_doc["fusions"].items():

@@ -82,14 +82,14 @@ def _leaf_sizes(tree, node, X, idx, out):
         out.append(len(idx))
         return
     left = X[idx, tree.feature[node]] <= tree.threshold[node]
-    _leaf_sizes(tree, tree.left[node], X, idx[left], out)
+    _leaf_sizes(tree, node + 1, X, idx[left], out)
     _leaf_sizes(tree, tree.right[node], X, idx[~left], out)
 
 
 def _depth(tree, node=0):
     if tree.feature[node] < 0:
         return 0
-    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+    return 1 + max(_depth(tree, node + 1), _depth(tree, tree.right[node]))
 
 
 @pytest.mark.parametrize("splitter", ["random", "best"])
@@ -156,7 +156,7 @@ def _walk(tree, x):
     node = 0
     while tree.feature[node] >= 0:
         go_left = x[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = node + 1 if go_left else tree.right[node]
     return tree.value[node]
 
 
@@ -218,16 +218,17 @@ def _score_by(path, trees, X, batch_words=None):
 
 def _random_tree(rng, leaves, d, k):
     """A tree of ``leaves`` leaves in preorder, its splits on thresholds of a coarse grid."""
-    nodes = []   # [feature, threshold, left, right, value]
+    nodes = []   # [feature, threshold, right, value]
 
     def grow(n):
-        node = [-1, 0.0, -1, -1, rng.random(k)]
+        node = [-1, 0.0, -1, rng.random(k)]
         nodes.append(node)
         at = len(nodes) - 1
         if n > 1:
             cut = int(rng.integers(1, n))
             node[:2] = int(rng.integers(d)), float(rng.integers(-4, 5)) / 2
-            node[2:] = grow(cut), grow(n - cut), np.zeros(k)
+            grow(cut)   # the left subtree, laid out right after its split
+            node[2:] = grow(n - cut), np.zeros(k)
         return at
 
     grow(leaves)
@@ -316,6 +317,12 @@ def test_tree_document_round_trips_unchanged():
     docs = [dt.to_dict()["params"]["root"]] + rf.to_dict()["params"]["trees"]
     for doc in docs:
         assert Tree.from_dict(doc).to_dict() == doc
+    # and the arrays of random trees survive JSON text bit for bit
+    for leaves in (1, 2, 64, 100):
+        tree = _random_tree(rng, leaves, 4, 3)
+        back = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        for a, b in zip(_tree_arrays(back), _tree_arrays(tree)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     leaf = docs[0]
     while "dist" not in leaf:
         assert list(leaf) == ["feature", "threshold", "left", "right"]
@@ -546,12 +553,12 @@ def test_grow_forest_on_chains_as_deep_as_their_rows():
     assert plain.to_dict() == _reference_tree(X, y, 2, roots[0], np.random.default_rng(0),
                                               "gini", None, 1, 1, "best")
     split = weighted.feature >= 0
-    assert (weighted.feature[weighted.left[split]] >= 0).sum() == 38
+    assert (weighted.feature[np.flatnonzero(split) + 1] >= 0).sum() == 38
     assert np.isin(weighted.value[~split], (0.0, 1.0)).all()
 
 
 def _tree_arrays(tree):
-    return [tree.feature, tree.threshold, tree.left, tree.right, tree.value]
+    return [tree.feature, tree.threshold, tree.right, tree.value]
 
 
 @pytest.mark.parametrize("batch_rows", [1, 10**9])

@@ -379,12 +379,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     report = tmp_path / "report.json"
     report.write_bytes(b"\xff\xfe")
     assert cli_main(["validate", "--report", str(report)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot read report file {report}: ")
-    assert err.count("\n") == 1
+    assert (capsys.readouterr().err
+            == f"config error: {report}: not UTF-8 text (invalid start byte at byte 0)\n")
     report.write_text("[1, 2]")
     assert cli_main(["validate", "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"config error: not a run report: {report} is not a JSON object\n"
+
+    # usage errors: a JSON object that is not shaped like a run report
+    good = {"config": {"task": "binary", "test_fraction": 0.2},
+            "members": {"ANN": {"accuracy": 80.0}},
+            "fusions": {"ANN+RF": {"accuracy": 93.0}}}
+    report.write_text(json.dumps(good))
+    assert cli_main(["validate", "--report", str(report)]) == 0
+    capsys.readouterr()
+    for section, value, message in [
+            ("fusions", [], "fusions is not a JSON object"),
+            ("fusions", {"ANN+RF": []},
+             "fusions entry 'ANN+RF' is not an object with a numeric accuracy"),
+            ("config", {"task": "binary", "test_fraction": "0.2"},
+             "test_fraction must be a number in (0, 1), not '0.2'"),
+            ("config", {"task": "bogus", "test_fraction": 0.2}, "unknown task 'bogus'"),
+            ("members", None, "missing field 'members'")]:
+        doc = {k: v for k, v in {**good, section: value}.items() if v is not None}
+        report.write_text(json.dumps(doc))
+        assert cli_main(["validate", "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"config error: not a run report: {report}: {message}\n"
 
     # usage errors: a config or report file that is not JSON names the file
     for argv, path in ((["run", "--config", str(cfg), "--report-dir", str(tmp_path / "rep")], cfg),
@@ -505,7 +524,8 @@ def test_cli_config_file_carries_every_field(tmp_path):
     ({"fusion_pairs": [["ANN", 1]]}, "bad fusion pair ['ANN', 1]"),
     ({"fusion_pairs": 3}, "fusion_pairs must be a list"),
     ({"fusion_pairs": []}, "fusion_pairs must be a list"),
-    (b'{"task": "bin\xe4r"}', "cannot read config file"),   # raw bytes, not UTF-8
+    (b'{"task": "bin\xe4r"}',   # raw bytes, not UTF-8
+     "cfg.json: not UTF-8 text (invalid continuation byte at byte 13)"),
     (b'{"a":', "cfg.json: not a JSON document (Expecting value"),
 ])
 def test_cli_rejects_malformed_config_files(tmp_path, capsys, content, message):
