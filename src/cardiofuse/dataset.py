@@ -161,25 +161,13 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
             if tok == "?":
                 vec.append(np.nan)
                 continue
-            try:
-                val = float(tok)
-            except ValueError:
-                raise ParseError(f"row {i}, column {attr.name}: non-numeric value {tok!r}") from None
-            if not math.isfinite(val):
-                raise ParseError(f"row {i}, column {attr.name}: non-finite value {tok!r}")
+            val = _number(tok, f"row {i}, column {attr.name}")
             if attr.kind == "categorical" and val not in attr.allowed_values:
                 raise SchemaViolation(
                     f"row {i}, column {attr.name}: code {tok} not in "
                     f"{sorted(attr.allowed_values)}")
             vec.append(val)
-        tok = parts[-1]
-        try:
-            lab = float(tok)
-        except ValueError:
-            raise ParseError(f"row {i}, label: non-numeric value {tok!r}") from None
-        if not math.isfinite(lab):
-            raise ParseError(f"row {i}, label: non-finite value {tok!r}")
-        lab = int(lab)  # truncates toward zero
+        lab = int(_number(parts[-1], f"row {i}, label"))  # truncates toward zero
         if lab not in VALID_LABELS:
             raise SchemaViolation(f"row {i}: label {lab} outside {sorted(VALID_LABELS)}")
         rows.append(vec)
@@ -188,6 +176,17 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
     if not rows:
         raise ParseError("no records found")
     return DataTable(np.array(rows), np.array(labels), schema)
+
+
+def _number(tok: str, where: str) -> float:
+    """The finite number a cell holds; ``where`` names the cell in the ParseError."""
+    try:
+        val = float(tok)
+    except ValueError:
+        raise ParseError(f"{where}: non-numeric value {tok!r}") from None
+    if not math.isfinite(val):
+        raise ParseError(f"{where}: non-finite value {tok!r}")
+    return val
 
 
 def _read_text(path) -> str:

@@ -1,9 +1,9 @@
 """Common contract for the probabilistic classifiers.
 
-Every learner fits on a feature matrix with labels 0..k-1 and scores unseen
-rows into an (n, k) matrix of probabilities whose rows sum to 1; a row with
-a non-finite feature value, to fit or to score, is a ``ModelError``, as is a
-non-finite score. Fits and scores run on one BLAS thread (``one_blas_thread``).
+Every learner fits on a feature matrix with labels 0..k-1 and scores rows
+into an (n, k) matrix of probabilities whose rows sum to 1. A label outside
+0..k-1, a non-finite feature value or a non-finite score is a ``ModelError``.
+Fits and scores run on one BLAS thread (``one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -140,6 +140,10 @@ class ProbabilisticClassifier:
         if self.class_count_ is None:
             # a degenerate single-class target still yields a binary scorer
             self.class_count_ = max(int(y.max()) + 1, 2)
+        outside = np.flatnonzero((y < 0) | (y >= self.class_count_))
+        if outside.size:
+            raise ModelError(f"{self.kind} model cannot fit on row {outside[0]}: label "
+                             f"{y[outside[0]]} is not in 0..{self.class_count_ - 1}")
         with one_blas_thread:
             self._fit(X, y)
         self.fitted = True

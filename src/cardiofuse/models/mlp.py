@@ -2,7 +2,9 @@
 
 Trained with mini-batch SGD on cross-entropy plus an L2 penalty on the
 weight matrices. Initialization and the per-epoch shuffle order are driven
-by one seeded generator, so training is fully deterministic.
+by one seeded generator, so training is fully deterministic. Each epoch
+gathers its shuffled rows once, and a fit whose weights stop being finite
+raises ``DivergenceError`` at the end of that epoch.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ class MLPClassifier(ProbabilisticClassifier):
         super().__init__()
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        for name, value, least in (("hidden_units", hidden_units, 1),
+                                   ("batch_size", batch_size, 1), ("epochs", epochs, 0)):
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
         self.hidden_units = hidden_units
         self.learning_rate = learning_rate
         self.batch_size = batch_size
@@ -54,32 +60,30 @@ class MLPClassifier(ProbabilisticClassifier):
         hidden, probs = self._forward(X)
         ce = -np.log(np.maximum((probs * Y).sum(axis=1), 1e-300)).sum()
         loss = ce + 0.5 * self.l2 * ((self.W1 ** 2).sum() + (self.W2 ** 2).sum())
+        return loss, self._grads(X, Y, hidden, probs)
 
+    def _grads(self, X, Y, hidden, probs):
+        """Backward pass: (gW1, gb1, gW2, gb2) of the batch loss, given the forward pass."""
         delta2 = probs - Y
         gW2 = hidden.T @ delta2 + self.l2 * self.W2
-        gb2 = delta2.sum(axis=0)
         delta1 = (delta2 @ self.W2.T) * hidden * (1.0 - hidden)
         gW1 = X.T @ delta1 + self.l2 * self.W1
-        gb1 = delta1.sum(axis=0)
-        return loss, (gW1, gb1, gW2, gb2)
+        return gW1, delta1.sum(axis=0), gW2, delta2.sum(axis=0)
 
     def _fit(self, X, y):
         rng = np.random.default_rng(self.seed)
         self.init_params(X.shape[1], rng)
+        weights = (self.W1, self.b1, self.W2, self.b2)
         Y = one_hot(y, self.class_count_)
-        n = X.shape[0]
-        lr = self.learning_rate
         for _ in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                batch = order[start:start + self.batch_size]
-                loss, (gW1, gb1, gW2, gb2) = self.loss_and_grads(X[batch], Y[batch])
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at learning rate {lr}")
-                self.W1 -= lr * gW1
-                self.b1 -= lr * gb1
-                self.W2 -= lr * gW2
-                self.b2 -= lr * gb2
+            order = rng.permutation(len(X))
+            Xs, Ys = X[order], Y[order]
+            for start in range(0, len(X), self.batch_size):
+                Xb, Yb = Xs[start:start + self.batch_size], Ys[start:start + self.batch_size]
+                for w, g in zip(weights, self._grads(Xb, Yb, *self._forward(Xb))):
+                    w -= self.learning_rate * g
+            if not all(np.isfinite(w).all() for w in weights):
+                raise DivergenceError(f"non-finite weights at learning rate {self.learning_rate}")
 
     def _scores(self, X):
         return self._forward(X)[1]

@@ -214,13 +214,11 @@ class SVMClassifier(ProbabilisticClassifier):
             p = np.zeros((len(X), k))
             p[:, self.single_class_] = 1.0
             return p
-        if k == 2:
-            m = self.machines_[0]
-            p1 = platt_prob(m["A"], m["B"], self.decision_function(X, 0))
-            return np.column_stack([1.0 - p1, p1])
         probs = np.column_stack([
             platt_prob(mach["A"], mach["B"], self.decision_function(X, i))
             for i, mach in enumerate(self.machines_)])
+        if k == 2:  # one machine, class 1 against class 0
+            return np.column_stack([1.0 - probs[:, 0], probs[:, 0]])
         # every Platt probability is at least 1/(1+e^500) > 0, so no row sums to 0
         return probs / probs.sum(axis=1, keepdims=True)
 

@@ -153,18 +153,12 @@ def split(table: DataTable, spec: SplitSpec) -> tuple[DataTable, DataTable]:
         classes, counts = np.unique(table.labels, return_counts=True)
         if (counts >= 2).all() and len(classes) <= n_test:
             quotas = counts * spec.test_fraction
-            base = np.floor(quotas).astype(int)
             # keep at least one training row per class
-            base = np.minimum(base, counts - 1)
-            short = n_test - base.sum()
-            if short > 0:
-                order = np.argsort(-(quotas - base), kind="stable")
-                for c in order:
-                    if short == 0:
-                        break
-                    if base[c] < counts[c] - 1:
-                        base[c] += 1
-                        short -= 1
+            base = np.minimum(np.floor(quotas).astype(int), counts - 1)
+            # one more test row for each of the first n_test - base.sum() classes,
+            # largest remainder first, that can still spare a training row
+            order = np.argsort(-(quotas - base), kind="stable")
+            base[order[base[order] < counts[order] - 1][:n_test - base.sum()]] += 1
             if base.sum() == n_test:
                 test_idx = []
                 for c, k in zip(classes, base):

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cardiofuse.models import (AdaBoostClassifier, MLPClassifier, ModelError,
-                               ProbabilisticClassifier)
+from cardiofuse.models import (AdaBoostClassifier, DivergenceError, MLPClassifier,
+                               ModelError, ProbabilisticClassifier)
 from cardiofuse.models import adaboost
 from cardiofuse.models.adaboost import _best_stump, split_scan
-from cardiofuse.models.base import one_hot
+from cardiofuse.models.base import one_blas_thread, one_hot
 
 
 def finite_difference_grads(model, X, Y, step=1e-5):
@@ -107,6 +109,65 @@ def test_mlp_learns_simple_structure():
     m.class_count_ = 2
     m.fit(X, y)
     assert (m.predict(X) == y).mean() > 0.9
+
+
+def _reference_fit(model, X, y):
+    """The training loop step by step: each batch is indexed out of X through
+    the epoch's order, loss_and_grads gives its gradients, and the four weight
+    arrays are updated one after another."""
+    rng = np.random.default_rng(model.seed)
+    model.init_params(X.shape[1], rng)
+    Y = one_hot(y, model.class_count_)
+    lr = model.learning_rate
+    for _ in range(model.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), model.batch_size):
+            batch = order[start:start + model.batch_size]
+            loss, (gW1, gb1, gW2, gb2) = model.loss_and_grads(X[batch], Y[batch])
+            assert np.isfinite(loss)
+            model.W1 -= lr * gW1
+            model.b1 -= lr * gb1
+            model.W2 -= lr * gW2
+            model.b2 -= lr * gb2
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("batch_size", [5, 10])
+def test_mlp_fit_equals_the_reference_loop_bit_for_bit(k, batch_size):
+    # n = 37 leaves a short last batch at either batch size
+    rng = np.random.default_rng(k * 100 + batch_size)
+    X = rng.normal(size=(37, 6))
+    y = rng.integers(0, k, 37)
+    fitted, reference = (MLPClassifier(batch_size=batch_size, epochs=4, learning_rate=0.05,
+                                       seed=11) for _ in range(2))
+    fitted.class_count_ = reference.class_count_ = k
+    fitted.fit(X, y)
+    with one_blas_thread:
+        _reference_fit(reference, X, y)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(fitted, name), getattr(reference, name)), name
+
+
+def test_mlp_divergence_is_an_error():
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 5)) * 100
+    y = rng.integers(0, 2, 40)
+    m = MLPClassifier(learning_rate=1e150, epochs=5, seed=1)
+    m.class_count_ = 2
+    # the diverging arithmetic overflows on the way, which the suite would turn into errors
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                  match=r"at learning rate 1e\+150"):
+        m.fit(X, y)
+
+
+def test_mlp_refuses_loop_bounds_that_train_nothing():
+    for setting, message in (({"batch_size": 0}, "batch_size must be at least 1, not 0"),
+                             ({"batch_size": -1}, "batch_size must be at least 1, not -1"),
+                             ({"hidden_units": 0}, "hidden_units must be at least 1, not 0"),
+                             ({"epochs": -3}, "epochs must be at least 0, not -3")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MLPClassifier(**setting)
+    assert MLPClassifier(epochs=0, batch_size=1, hidden_units=1).epochs == 0
 
 
 # adaboost --------------------------------------------------------------------

@@ -134,8 +134,9 @@ def test_a_nan_row_is_an_error_for_every_model():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(80, 3))
     for y in (rng.integers(0, 2, 80), rng.integers(0, 5, 80)):
+        k = int(y.max()) + 1
         # ADA's boosted stumps are binary only; SVM's default kernel is the RBF
-        models = [make_model(kind) for kind in MODEL_KINDS if kind != "ADA" or y.max() == 1]
+        models = [make_model(kind) for kind in MODEL_KINDS if kind != "ADA" or k == 2]
         for m in models + [SVMClassifier(kernel="linear")]:
             for j, bad in ((0, np.nan), (2, np.inf), (1, -np.inf)):
                 train = X.copy()
@@ -143,6 +144,14 @@ def test_a_nan_row_is_an_error_for_every_model():
                 with pytest.raises(ModelError, match=re.escape(
                         f"{m.kind} model cannot fit on row 1: feature {j} is {bad}")):
                     m.fit(train, y)
+            # a label outside 0..k-1 is refused too, not wrapped, clipped or read as negative
+            m.class_count_ = k
+            for label in (k, -1):
+                labels = y.copy()
+                labels[1] = label
+                with pytest.raises(ModelError, match=re.escape(
+                        f"{m.kind} model cannot fit on row 1: label {label} is not in 0..{k - 1}")):
+                    m.fit(X, labels)
             m.fit(X, y)
             for j, bad in ((0, np.nan), (2, np.inf), (1, -np.inf)):
                 rows = np.zeros((2, 3))

@@ -72,6 +72,29 @@ def test_split_partitions_the_table_deterministically(labels, test_fraction, see
     ids = np.concatenate([ids_train, ids_test]).astype(int)
     assert np.array_equal(np.concatenate([train.labels, test.labels]), table.labels[ids])
     assert np.array_equal(again[0].rows, train.rows) and np.array_equal(again[1].rows, test.rows)
+    quota = _stratified_test_counts(labels, test_fraction) if stratified else None
+    if quota is not None:
+        classes = np.unique(labels)
+        assert np.array_equal([(test.labels == c).sum() for c in classes], quota)
+
+
+def _stratified_test_counts(labels, test_fraction):
+    """Per-class test counts of a stratified split, topped up one class at a
+    time by largest remainder; None where the split falls back to random."""
+    n = len(labels)
+    n_test = min(max(int(round(n * test_fraction)), 1), n - 1)
+    _, counts = np.unique(labels, return_counts=True)
+    if (counts < 2).any() or len(counts) > n_test:
+        return None
+    quotas = counts * test_fraction
+    base = [min(int(np.floor(q)), c - 1) for q, c in zip(quotas, counts)]
+    remainders = [q - b for q, b in zip(quotas, base)]
+    short = n_test - sum(base)
+    for c in sorted(range(len(counts)), key=lambda c: -remainders[c]):
+        if short > 0 and base[c] < counts[c] - 1:
+            base[c] += 1
+            short -= 1
+    return base if short == 0 else None
 
 
 @settings(max_examples=100, deadline=None)
