@@ -144,7 +144,7 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
     """
     if schema is None:
         schema = cleveland_schema()
-    d = len(schema)
+    columns = [f"column {attr.name}" for attr in schema]
 
     text = _read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -154,20 +154,20 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
     rows, labels = [], []
     for i, line in enumerate(lines, start=1):
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != d + 1:
-            raise ParseError(f"row {i}: expected {d + 1} fields, got {len(parts)}")
+        if len(parts) != len(schema) + 1:
+            raise ParseError(f"row {i}: expected {len(schema) + 1} fields, got {len(parts)}")
         vec = []
-        for tok, attr in zip(parts[:-1], schema):
+        for tok, attr, column in zip(parts[:-1], schema, columns):
             if tok == "?":
                 vec.append(np.nan)
                 continue
-            val = _number(tok, f"row {i}, column {attr.name}")
+            val = _number(tok, i, column)
             if attr.kind == "categorical" and val not in attr.allowed_values:
                 raise SchemaViolation(
-                    f"row {i}, column {attr.name}: code {tok} not in "
+                    f"row {i}, {column}: code {tok} not in "
                     f"{sorted(attr.allowed_values)}")
             vec.append(val)
-        lab = int(_number(parts[-1], f"row {i}, label"))  # truncates toward zero
+        lab = int(_number(parts[-1], i, "label"))  # truncates toward zero
         if lab not in VALID_LABELS:
             raise SchemaViolation(f"row {i}: label {lab} outside {sorted(VALID_LABELS)}")
         rows.append(vec)
@@ -178,14 +178,14 @@ def load_csv(path, schema: list[AttributeSpec] | None = None,
     return DataTable(np.array(rows), np.array(labels), schema)
 
 
-def _number(tok: str, where: str) -> float:
-    """The finite number a cell holds; ``where`` names the cell in the ParseError."""
+def _number(tok: str, row: int, where: str) -> float:
+    """The finite number a cell holds; the ParseError names ``row`` and ``where``."""
     try:
         val = float(tok)
     except ValueError:
-        raise ParseError(f"{where}: non-numeric value {tok!r}") from None
+        raise ParseError(f"row {row}, {where}: non-numeric value {tok!r}") from None
     if not math.isfinite(val):
-        raise ParseError(f"{where}: non-finite value {tok!r}")
+        raise ParseError(f"row {row}, {where}: non-finite value {tok!r}")
     return val
 
 

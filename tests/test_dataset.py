@@ -66,6 +66,22 @@ def test_non_finite_feature_token_rejected(tmp_path, token):
         load_csv(f)
 
 
+@pytest.mark.parametrize("field, token, message", [
+    (4, "abc", "row 1, column S_chol: non-numeric value 'abc'"),
+    (4, "inf", "row 1, column S_chol: non-finite value 'inf'"),
+    (13, "abc", "row 1, label: non-numeric value 'abc'"),
+    (13, "nan", "row 1, label: non-finite value 'nan'"),
+])
+def test_bad_number_message_names_the_cell(tmp_path, field, token, message):
+    parts = FULL_ROW.split(",")
+    parts[field] = token
+    f = tmp_path / "bad.data"
+    f.write_text(",".join(parts) + "\n")
+    with pytest.raises(ParseError) as caught:
+        load_csv(f)
+    assert str(caught.value) == message
+
+
 def test_unknown_category_code_rejected(tmp_path):
     parts = FULL_ROW.split(",")
     parts[12] = "5.0"  # Thal allows only {3, 6, 7}
