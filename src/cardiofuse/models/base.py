@@ -137,13 +137,13 @@ class ProbabilisticClassifier:
             raise ModelError("cannot fit on an empty table")
         self._require_finite(X, "fit on")
         self.n_features_ = X.shape[1]
-        if self.class_count_ is None:
-            # a degenerate single-class target still yields a binary scorer
-            self.class_count_ = max(int(y.max()) + 1, 2)
-        outside = np.flatnonzero((y < 0) | (y >= self.class_count_))
+        # a degenerate single-class target still yields a binary scorer
+        k = self.class_count_ or max(int(y.max()) + 1, 2)
+        outside = np.flatnonzero((y < 0) | (y >= k))
         if outside.size:
-            raise ModelError(f"{self.kind} model cannot fit on row {outside[0]}: label "
-                             f"{y[outside[0]]} is not in 0..{self.class_count_ - 1}")
+            raise ModelError(f"{self.kind} model cannot fit on row {outside[0]}: "
+                             f"label {y[outside[0]]} is not in 0..{k - 1}")
+        self.class_count_ = k
         with one_blas_thread:
             self._fit(X, y)
         self.fitted = True

@@ -144,14 +144,16 @@ def test_a_nan_row_is_an_error_for_every_model():
                 with pytest.raises(ModelError, match=re.escape(
                         f"{m.kind} model cannot fit on row 1: feature {j} is {bad}")):
                     m.fit(train, y)
-            # a label outside 0..k-1 is refused too, not wrapped, clipped or read as negative
-            m.class_count_ = k
-            for label in (k, -1):
+            # a label outside 0..k-1 is refused too, not wrapped, clipped or read as
+            # negative, and the refused fit leaves the class count as it was
+            for count, label in ((None, -1), (k, k), (k, -1)):
+                m.class_count_ = count
                 labels = y.copy()
                 labels[1] = label
                 with pytest.raises(ModelError, match=re.escape(
                         f"{m.kind} model cannot fit on row 1: label {label} is not in 0..{k - 1}")):
                     m.fit(X, labels)
+                assert m.class_count_ == count
             m.fit(X, y)
             for j, bad in ((0, np.nan), (2, np.inf), (1, -np.inf)):
                 rows = np.zeros((2, 3))
