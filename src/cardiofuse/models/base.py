@@ -128,6 +128,14 @@ class ProbabilisticClassifier:
         self.n_features_ = None
         self.class_count_ = None
 
+    @property
+    def class_count_(self):
+        return self._class_count
+
+    @class_count_.setter
+    def class_count_(self, k):
+        self._class_count = self._preset_count = k
+
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -137,13 +145,14 @@ class ProbabilisticClassifier:
             raise ModelError("cannot fit on an empty table")
         self._require_finite(X, "fit on")
         self.n_features_ = X.shape[1]
-        # a degenerate single-class target still yields a binary scorer
-        k = self.class_count_ or max(int(y.max()) + 1, 2)
+        # a count set before fit stays; one fit inferred is inferred again. A
+        # degenerate single-class target still yields a binary scorer
+        k = self._preset_count or max(int(y.max()) + 1, 2)
         outside = np.flatnonzero((y < 0) | (y >= k))
         if outside.size:
             raise ModelError(f"{self.kind} model cannot fit on row {outside[0]}: "
                              f"label {y[outside[0]]} is not in 0..{k - 1}")
-        self.class_count_ = k
+        self._class_count = k
         with one_blas_thread:
             self._fit(X, y)
         self.fitted = True

@@ -78,10 +78,13 @@ class MLPClassifier(ProbabilisticClassifier):
         for _ in range(self.epochs):
             order = rng.permutation(len(X))
             Xs, Ys = X[order], Y[order]
-            for start in range(0, len(X), self.batch_size):
-                Xb, Yb = Xs[start:start + self.batch_size], Ys[start:start + self.batch_size]
-                for w, g in zip(weights, self._grads(Xb, Yb, *self._forward(Xb))):
-                    w -= self.learning_rate * g
+            # a diverging step overflows on its way to non-finite weights, which the
+            # check below reports, so numpy does not warn about it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, len(X), self.batch_size):
+                    Xb, Yb = Xs[start:start + self.batch_size], Ys[start:start + self.batch_size]
+                    for w, g in zip(weights, self._grads(Xb, Yb, *self._forward(Xb))):
+                        w -= self.learning_rate * g
             if not all(np.isfinite(w).all() for w in weights):
                 raise DivergenceError(f"non-finite weights at learning rate {self.learning_rate}")
 

@@ -3,11 +3,12 @@
 ``grow_forest`` grows every tree of a forest at once (DT is a one-tree forest)
 on weighted distinct rows held in one flat buffer: a node is a slice of it, a
 split partitions that slice in place, and each tree's depth-first stack is a
-column of one array, so a step handles the next preorder node of every tree with
-array operations and one segmented scan. The "best" splitter scans every
-midpoint between distinct values of the candidate features; the "random"
-splitter draws one uniform threshold per candidate feature. Leaves store class
-frequencies.
+column of one array that holds only nodes that can split (a tree of n distinct
+rows has at most n - 1), so a step handles the next such node of every tree
+with array operations and one segmented scan, and a leaf is settled when its
+parent splits. The "best" splitter scans every midpoint between distinct values
+of the candidate features; the "random" splitter draws one uniform threshold
+per candidate feature. Leaves store class frequencies.
 
 A tree is its preorder arrays, so a split's left child is the next node and
 only the right child is stored. ``score_forest`` scores all trees at once from
@@ -28,13 +29,17 @@ from .base import ProbabilisticClassifier
 
 
 def _impurity_rows(counts: np.ndarray, n: np.ndarray, criterion: str) -> np.ndarray:
-    # rows of class counts and their sums -> impurity per row
-    p = counts / np.maximum(n, 1)[:, None]
-    if criterion == "gini":
-        return 1.0 - (p * p).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -(p * logp).sum(axis=1)
+    # rows of class counts and their sums -> impurity per row. Up to 7 classes, adding the
+    # terms class by class gives sum(axis=1)'s bits (a test pins this); past 7 it pairs them
+    def terms(p):
+        if criterion == "gini":
+            return p * p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return p * np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    n = np.maximum(n, 1)
+    total = (terms(np.ascontiguousarray(counts) / n[:, None]).sum(axis=1) if counts.shape[1] > 7
+             else sum(terms(counts[:, c] / n) for c in range(counts.shape[1])))
+    return 1.0 - total if criterion == "gini" else -total
 
 
 def check_tree_params(criterion, max_depth, max_features):
@@ -142,21 +147,20 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
     """
     S, N, starts = len(nseg), len(rows), np.cumsum(nseg) - nseg
     seg, size = np.repeat(np.arange(S), nseg), counts.sum(axis=1)
-    onehot = np.eye(counts.shape[1], dtype=np.int32)[y[rows]] * wts[:, None]
+    onehot = (y[rows] == np.arange(counts.shape[1])[:, None]) * wts   # classes x rows
     if rngs is None:
-        key = seg[:, None] * len(X) + R[rows[:, None], cand[seg]]
-        order = np.argsort(key, axis=0)   # tied values may come in any order
-        key = np.take_along_axis(key, order, axis=0)
-        left = onehot[order]
-        left[starts[1:]] -= counts[:-1, None, :].astype(np.int32)
-        np.cumsum(left, axis=0, out=left)
-        ok = np.diff(key, axis=0, append=key[-1:]) > 0   # a larger value follows
-        ok[starts + nseg - 1] = False   # ... in the same segment
-        p, j = np.nonzero(ok)   # grouped by segment, then by cut
-        s, L = seg[p], left[p, j]
-        nl = L.sum(axis=1)
-        keep = (nl >= min_leaf) & (size[s] - nl >= min_leaf)
-        s, L, nl, rank = s[keep], L[keep], nl[keep], (j * N + p)[keep]
+        # candidate x row keys in the smallest dtype that holds them, ranks read by flat index
+        key = (seg * len(X)).astype(np.min_scalar_type(S * len(X))) + np.take(
+            R, cand[seg].T + rows * X.shape[1])
+        order = np.argsort(key, axis=1, kind="stable")   # the order of ties reaches no output
+        key = np.take_along_axis(key, order, axis=1)
+        left = np.take(onehot, order, axis=1)   # classes x candidates x rows
+        left[:, :, starts[1:]] -= counts[:-1].T[:, None, :]
+        np.cumsum(left, axis=2, out=left)
+        ok = key[:, 1:] > key[:, :-1]   # a larger value follows
+        ok[:, starts[1:] - 1] = False   # ... in the same segment
+        p, j = np.nonzero(ok.T)   # grouped by segment, then by cut
+        s, L, rank = seg[p], left[:, j, p], j * N + p
     else:
         V = X[rows[:, None], cand[seg]]
         lo, hi = np.minimum.reduceat(V, starts), np.maximum.reduceat(V, starts)
@@ -165,25 +169,25 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
             live = np.flatnonzero(lo[b] != hi[b])
             # one uniform draw per non-constant candidate, in candidate order
             thr[b, live] = rng.uniform(lo[b, live], hi[b, live])
-        go = V <= thr[seg]
-        cut = np.add.reduceat(go * wts[:, None], starts)
-        ok = (lo != hi) & (cut >= min_leaf) & (size[:, None] - cut >= min_leaf)
-        s, j = np.nonzero(ok)
-        L = np.add.reduceat(go[:, :, None] * onehot[:, None, :], starts)[s, j]
-        nl, rank = cut[s, j], j
+        s, rank = np.nonzero(lo != hi)
+        L = np.add.reduceat((V <= thr[seg]) * onehot[:, :, None], starts, axis=1)[:, s, rank]
+    nl = L.sum(axis=0)   # L: classes x cuts
+    keep = (nl >= min_leaf) & (size[s] - nl >= min_leaf)
+    if not keep.all():
+        s, L, nl, rank = s[keep], L[:, keep], nl[keep], rank[keep]
     feature, threshold = np.full(S, -1), np.zeros(S)
     if len(s):
         n = size[s]
-        cost = (nl * _impurity_rows(L, nl, criterion)
-                + (n - nl) * _impurity_rows(counts[s] - L, n - nl, criterion)) / n
+        cost = (nl * _impurity_rows(L.T, nl, criterion)
+                + (n - nl) * _impurity_rows((counts.T[:, s] - L).T, n - nl, criterion)) / n
         # per segment: the least cost, then the least rank among its minima
-        first = np.flatnonzero(np.diff(s, prepend=-1))
-        best = np.repeat(np.minimum.reduceat(cost, first), np.diff(first, append=len(s)))
-        win = np.minimum.reduceat(np.where(cost == best, rank, np.iinfo(np.int64).max), first)
-        won = s[first]
+        first = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+        won, best = s[first], np.full(S, np.inf)
+        best[won] = np.minimum.reduceat(cost, first)
+        win = np.minimum.reduceat(np.where(cost == best[s], rank, N * cand.shape[1]), first)
         if rngs is None:
             j, p = np.divmod(win, N)
-            pair = X[rows[order[[p, p + 1], j]], cand[won, j]]
+            pair = X[rows[order[j, [p, p + 1]]], cand[won, j]]
             threshold[won] = (pair[0] + pair[1]) / 2.0
         else:
             j = win
@@ -199,105 +203,119 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
     Identical (row, label) pairs take the same branch, so a tree grows on the
     distinct pairs of its root rows, weighted by their counts there. These sit
     in one flat buffer, all trees' roots end to end with the weights beside
-    them; a node is a slice of it. Each tree's depth-first stack is a column
-    of one array. A step pops the next preorder node of every unfinished tree
-    with one gather, then takes them in batches of about ``_BATCH_ROWS`` rows:
-    one weighted ``bincount``, one ``_split_segments`` call, one stable
-    partition of every split node's slice in place, left rows first, and one
-    push of all children. A node splits if it is above ``max_depth``, has two
-    classes, two ``min_leaf``s of weight and a valid cut. Its candidates are
-    its tree's next ``rng.choice``: drawn for all the tree's nodes after its
-    root rows (best splitter), or node by node before its thresholds (random),
-    so each tree reads its stream as if grown alone. Node records are laid out
-    once at the end. ``max_features`` None draws round(sqrt(d)) candidates.
+    them; a node is a slice of it. A node above ``max_depth`` with two classes
+    and two ``min_leaf``s of weight can split; any other is a leaf when made.
+    Each tree's depth-first stack, a column of one array, holds only nodes that
+    can split, with their class counts. A step pops the next of them from every
+    unfinished tree with one gather and takes them in batches of about
+    ``_BATCH_ROWS`` rows: one ``_split_segments`` call, one stable partition of
+    every split node's slice in place, left rows first, and one weighted
+    ``bincount`` of the children's classes. A node with no valid cut is a leaf,
+    and children that can split are pushed, right before left. A node's
+    candidates are its tree's next ``rng.choice``: drawn after the root rows
+    for the at most n - 1 nodes that can split in a tree of n pairs (best
+    splitter), or node by node before its thresholds (random), so each tree
+    reads its stream as if grown alone. Preorder positions are laid out at the
+    end. ``max_features`` None draws round(sqrt(d)) candidates.
     """
     d = X.shape[1]
     m = min(int(round(np.sqrt(d))) if max_features is None else max_features, d)
     max_depth = np.inf if max_depth is None else max_depth
     Xy, group = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
     X, y = Xy[:, :-1], Xy[:, -1].astype(np.int64)
-    R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T])   # dense ranks
+    R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T]).astype(
+        np.min_scalar_type(len(X)))   # dense ranks, in the split scan's smallest key dtype
     buf, wbuf, draws = [], [], []
     for r, rng in zip(roots, rngs):
         w = np.bincount(group[r], minlength=len(X))
         buf.append(np.flatnonzero(w).astype(np.int32))
         wbuf.append(w[buf[-1]].astype(np.int32))
-        # best splitter: draw for all nodes now (a split leaves rows both sides: < 2 x rows nodes)
-        count = 2 * len(buf[-1]) if splitter == "best" else 0
+        count = max(len(buf[-1]) - 1, 0) if splitter == "best" else 0
         draws.append(_choice_draws(rng, d, m, count).astype(np.min_scalar_type(d)))
     nxt = np.cumsum([0] + [len(p) for p in draws])[:-1]   # each tree's next draw in the pool
     pools, nroot = _floyd(np.concatenate(draws), d, m), np.array([len(b) for b in buf])
     del draws
-    end, buf, wbuf = np.cumsum(nroot), np.concatenate(buf), np.concatenate(wbuf)
-    # stack level x tree: (lo, hi, depth, parent if a right child); a preorder stack
-    # holds at most depth + 2 entries, and levels never pushed to are never touched
-    stack = np.empty((nroot.max() + 2, len(nroot), 4), dtype=np.int32)
-    stack[0] = np.column_stack([end - nroot, end, np.zeros_like(end), np.full_like(end, -1)])
-    sp, size = np.ones(len(nroot), dtype=np.int64), np.zeros(len(nroot), dtype=np.int64)
-    # records per batch: tree, node, parent if a right child, feature, leaf counts, threshold
-    fields = [[] for _ in range(6)]
-    live = np.arange(len(nroot))
-    while len(live):
+    T, end, buf, wbuf = len(nroot), np.cumsum(nroot), np.concatenate(buf), np.concatenate(wbuf)
+    # node t is tree t's root, split j's children are nodes T + 2j (right) and T + 2j + 1
+    # (left). Records: each split's (node, feature, threshold), each leaf's (node, counts)
+    splits, leaves, made = [np.zeros((0, 3))], [], 0
+    stack = np.empty((16, T, 4 + k), dtype=np.int32)   # level x tree: lo, hi, depth, node, counts
+    sp, owner = np.zeros(T, dtype=np.int64), np.arange(T)
+    counts = np.bincount(np.repeat(owner * k, nroot) + y[buf], wbuf, T * k).reshape(T, k)
+    new = np.column_stack([end - nroot, end, np.zeros(T), owner, counts])
+    while True:
+        # new nodes that cannot split are leaves, the others go on the stack, a tree's in order
+        new = new.astype(np.int32)
+        can = ((new[:, 2] < max_depth) & (new[:, 4:].sum(axis=1) >= 2 * min_leaf)
+               & ((new[:, 4:] > 0).sum(axis=1) > 1))
+        leaves.append(new[~can, 3:])
+        new, owner = new[can], owner[can]
+        if sp.max() + 2 > len(stack):   # a tree gets two at most: double the levels
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[sp[owner] + np.concatenate([[0], owner[1:] == owner[:-1]]), owner] = new
+        sp += np.bincount(owner, minlength=T)
+        live = np.flatnonzero(sp)
+        if not len(live):
+            break
         sp[live] -= 1
         top = stack[sp[live], live]
-        last = np.cumsum(top[:, 1] - top[:, 0])
         # a batch: the nodes whose last rows fall in one window of _BATCH_ROWS rows
-        cuts = [0, *(np.flatnonzero(np.diff((last - 1) // _BATCH_ROWS)) + 1), len(live)]
+        window = (np.cumsum(top[:, 1] - top[:, 0]) - 1) // _BATCH_ROWS
+        cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1), len(live)]
+        kids, owners = [], []
         for a, b in zip(cuts, cuts[1:]):
-            trees, (lo, hi, depth, parent) = live[a:b], top[a:b].T
+            trees, (lo, hi, depth, node), counts = live[a:b], top[a:b, :4].T, top[a:b, 4:]
             nseg = hi - lo
             start = np.cumsum(nseg) - nseg
             seg = np.repeat(np.arange(len(trees), dtype=np.int32), nseg)
-            rows = np.arange(len(seg)) + (lo - start)[seg]   # places in the buffer, then rows
-            rows, wts = buf[rows], wbuf[rows]
-            counts = np.bincount(seg * k + y[rows], wts, len(trees) * k).reshape(-1, k)
-            ok = ((depth < max_depth) & (counts.sum(axis=1) >= 2 * min_leaf)
-                  & ((counts > 0).sum(axis=1) > 1))
-            feature, threshold = np.full(len(trees), -1), np.zeros(len(trees))
-            if ok.any():
-                cand = pools[nxt[trees[ok]]] if splitter == "best" else np.array(
-                    [rngs[t].choice(d, m, replace=False) for t in trees[ok]])
-                nxt[trees[ok]] += 1
-                feature[ok], threshold[ok] = _split_segments(
-                    X, y, R, rows[ok[seg]], wts[ok[seg]], nseg[ok], counts[ok], cand, criterion,
-                    min_leaf, [rngs[t] for t in trees[ok]] if splitter == "random" else None)
+            places = np.arange(len(seg)) + (lo - start)[seg]   # in the buffer
+            rows, wts = buf[places], wbuf[places]
+            cand = pools[nxt[trees]] if splitter == "best" else np.array(
+                [rngs[t].choice(d, m, replace=False) for t in trees])
+            nxt[trees] += 1
+            feature, threshold = _split_segments(
+                X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
+                [rngs[t] for t in trees] if splitter == "random" else None)
             # a stable partition of each split node's slice, left rows first, in place
             split = feature >= 0
             go = split[seg] & ~(X[rows, feature[seg]] <= threshold[seg])
-            past = np.concatenate([[0], np.cumsum(go)])   # right rows before each row
-            before = past[:-1] - past[start][seg]   # ... of its node
-            nleft = nseg - (past[start + nseg] - past[start])
-            at = lo[seg] + np.where(go, nleft[seg] + before,
-                                    np.arange(len(seg)) - start[seg] - before)
-            buf[at], wbuf[at] = rows, wts
-            # push the right child, then the left, of every split node
-            s, t = np.flatnonzero(split), trees[split]
-            mid, up = lo[s] + nleft[s], depth[s] + 1
-            kids = np.array([mid, hi[s], up, size[t], lo[s], mid, up, np.full_like(t, -1)])
-            stack[sp[t][:, None] + [0, 1], t[:, None]] = kids.T.reshape(-1, 2, 4)
-            sp[t] += 2
-            # copies, so that no record pins the step's ``top``
-            record = [np.array(f, dtype=np.int32)
-                      for f in (trees, size[trees], parent, feature, counts[~split])]
-            for field, r in zip(fields, record + [threshold]):
-                field.append(r)
-        size[live] += 1
-        live = live[sp[live] > 0]
+            side = np.argsort((2 * seg + go).astype(np.min_scalar_type(2 * len(trees))),
+                              kind="stable")
+            buf[places], wbuf[places] = rows[side], wts[side]
+            s, mid = np.flatnonzero(split), hi - np.bincount(seg[go], minlength=len(trees))
+            splits.append(np.column_stack([node, feature, threshold])[s])
+            leaves.append(top[a:b, 3:][~split])
+            kid_counts = np.bincount((2 * seg + ~go) * k + y[rows], wts, 2 * len(trees) * k)
+            kids.append(np.column_stack([   # each split node's right child, then its left
+                np.column_stack([mid, hi, lo, mid])[s].reshape(-1, 2), np.repeat(depth[s] + 1, 2),
+                T + 2 * made + np.arange(2 * len(s)),
+                kid_counts.reshape(-1, 2 * k)[s].reshape(-1, k)]))
+            owners.append(np.repeat(trees[s], 2))
+            made += len(s)
+        new, owner = np.concatenate(kids), np.concatenate(owners)
     del buf, wbuf, pools, stack   # before the layout, which holds the most memory
-    # lay the trees out in preorder; popping a field drops its records before it is permuted
-    base = np.cumsum(size) - size
-    tree, node, parent = (np.concatenate(fields.pop(0)) for _ in range(3))
-    pos, r = base[tree] + node, parent >= 0
-    right = np.full(len(pos), -1)
-    right[base[tree[r]] + parent[r]] = node[r]
-    feature, value = np.empty(len(pos), dtype=np.int64), np.zeros((len(pos), k))
-    feature[pos] = np.concatenate(fields.pop(0))
-    counts = np.concatenate(fields.pop(0))   # the leaves', which sum to their rows
-    value[pos[feature[pos] < 0]] = counts / counts.sum(axis=1, keepdims=True)
-    threshold = np.empty(len(pos))
-    threshold[pos] = np.concatenate(fields.pop(0))
-    return [Tree(*(a[i:i + n] for a in (feature, threshold, right, value)))
-            for i, n in zip(base, size)]
+    # a batch's splits are distinct nodes made by earlier batches, so subtree sizes add
+    # up over the batches backwards, and preorder positions follow forwards: a left
+    # child comes next to its parent, a right child after its left sibling's subtree
+    spans, splits = np.cumsum([0] + [len(j) for j in splits]), np.concatenate(splits)
+    parent = splits[:, 0].astype(np.int64)
+    size = np.ones(T + 2 * len(parent), dtype=np.int32)
+    pos, kid = np.empty_like(size), size[T:].reshape(-1, 2)   # kid: (right, left) sizes
+    for a, b in zip(spans[-2::-1], spans[:0:-1]):
+        size[parent[a:b]] += kid[a:b, 0] + kid[a:b, 1]
+    pos[:T], kpos = np.cumsum(size[:T]) - size[:T], pos[T:].reshape(-1, 2)
+    for a, b in zip(spans, spans[1:]):
+        p = parent[a:b]
+        kpos[a:b, 0], kpos[a:b, 1] = pos[p] + size[p] - kid[a:b, 0], pos[p] + 1
+    leaves, n = np.concatenate(leaves), int(size[:T].sum())   # leaves: node, class counts
+    value = np.zeros((n, k))
+    value[pos[leaves[:, 0]]] = leaves[:, 1:] / leaves[:, 1:].sum(axis=1, keepdims=True)
+    del leaves
+    at, feature, right, threshold = pos[parent], np.full(n, -1), np.full(n, -1), np.zeros(n)
+    feature[at], threshold[at] = splits[:, 1], splits[:, 2]
+    right[at] = kpos[:, 0] - np.repeat(pos[:T], size[:T])[at]
+    return [Tree(*(a[i:i + s] for a in (feature, threshold, right, value)))
+            for i, s in zip(pos[:T], size[:T])]
 
 
 def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:

@@ -160,6 +160,19 @@ def test_mlp_divergence_is_an_error():
         m.fit(X, y)
 
 
+@pytest.mark.filterwarnings("error")
+def test_mlp_divergence_raises_its_error_and_no_warning():
+    # no numpy overflow or invalid-value warning comes first: under the suite's
+    # filters it would be raised in place of the DivergenceError
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 5)) * 100
+    y = rng.integers(0, 2, 40)
+    m = MLPClassifier(learning_rate=1e150, epochs=5, seed=1)
+    m.class_count_ = 2
+    with pytest.raises(DivergenceError, match=r"at learning rate 1e\+150"):
+        m.fit(X, y)
+
+
 def test_mlp_refuses_loop_bounds_that_train_nothing():
     for setting, message in (({"batch_size": 0}, "batch_size must be at least 1, not 0"),
                              ({"batch_size": -1}, "batch_size must be at least 1, not -1"),

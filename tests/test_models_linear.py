@@ -163,6 +163,30 @@ def test_a_nan_row_is_an_error_for_every_model():
                     m.predict_proba(rows)
 
 
+def test_an_inferred_class_count_is_inferred_again_and_a_set_one_stays():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 3))
+    five, two = rng.integers(0, 5, 60), rng.integers(0, 2, 60)
+    five[:5], two[:2] = np.arange(5), np.arange(2)
+    for kind in MODEL_KINDS:
+        if kind == "ADA":   # boosted stumps are binary only
+            continue
+        m = make_model(kind)
+        for labels, k in ((five, 5), (two, 2), (five, 5)):   # each fit infers its own count
+            m.fit(X, labels)
+            assert m.class_count_ == k and m.predict_proba(X[:1]).shape == (1, k), kind
+        with pytest.raises(ModelError, match="label -1 is not in 0..1"):
+            m.fit(X, np.where(two == 1, -1, two))
+        assert m.class_count_ == 5   # a refused fit leaves the count as it was
+        m.class_count_ = 5   # a count set before fit stays for every later fit
+        for labels in (two, two):
+            m.fit(X, labels)
+            assert m.class_count_ == 5 and m.predict_proba(X[:1]).shape == (1, 5), kind
+        with pytest.raises(ModelError, match="label 5 is not in 0..4"):
+            m.fit(X, five + 1)
+        assert m.class_count_ == 5
+
+
 def test_platt_fit_is_monotone_and_calibrated():
     rng = np.random.default_rng(5)
     f = rng.normal(size=200) * 2

@@ -473,6 +473,29 @@ def test_candidates_equal_successive_choice_calls(d, m):
         assert x.random() == z.random()
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_class_by_class_sums_equal_sums_over_rows(k):
+    # _impurity_rows adds up to 7 class terms one class at a time; this rests on
+    # the installed numpy summing a short C-ordered row left to right
+    terms = np.random.default_rng(k).random((200_000, k)) ** 2
+    assert np.array_equal(sum(terms[:, c] for c in range(k)), terms.sum(axis=1))
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_impurity_rows_keep_the_bits_of_the_row_sum(criterion):
+    rng = np.random.default_rng(9)
+    for k in range(2, 13):
+        counts = rng.integers(0, 9, size=(5000, k)) * (rng.random((5000, k)) < 0.6)
+        n = counts.sum(axis=1)
+        p = counts / np.maximum(n, 1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = p * (p if criterion == "gini" else
+                         np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0))
+        want = 1.0 - terms.sum(axis=1) if criterion == "gini" else -terms.sum(axis=1)
+        for layout in (counts, np.ascontiguousarray(counts.T).T):   # rows, or classes
+            assert np.array_equal(_impurity_rows(layout, n, criterion), want), k
+
+
 def _random_split_oracle(X, y, k, criterion, candidates, min_leaf, rng):
     """Per candidate in draw order: a uniform threshold if the column is not constant; strict <."""
     n, counts = len(X), np.bincount(y, minlength=k)
@@ -542,8 +565,8 @@ def test_grow_forest_equals_a_recursive_reference_grower(monkeypatch, batch_rows
 
 def test_grow_forest_on_chains_as_deep_as_their_rows():
     # alternating labels on 0..39: the best split peels one row at a time, off
-    # the left end; when row i comes i + 1 times it peels the right end, and the
-    # stack holds one pending leaf per level, 40 entries at the deepest split
+    # the left end; when row i comes i + 1 times it peels the right end. Each
+    # peeled row is a leaf when its parent splits, so it never waits on the stack
     X, y = np.arange(40.0).reshape(-1, 1), np.arange(40) % 2
     roots = [np.arange(40), np.repeat(np.arange(40), np.arange(1, 41))]
     plain, weighted = grow_forest(X, y, 2, roots, [np.random.default_rng(s) for s in (0, 1)],
@@ -555,6 +578,59 @@ def test_grow_forest_on_chains_as_deep_as_their_rows():
     split = weighted.feature >= 0
     assert (weighted.feature[np.flatnonzero(split) + 1] >= 0).sum() == 38
     assert np.isin(weighted.value[~split], (0.0, 1.0)).all()
+
+
+def _most_waiting(tree):
+    """The most right children that can split (splits or mixed leaves) waiting at once
+    while the tree is walked in preorder."""
+    can = (tree.feature >= 0) | ((tree.value > 0).sum(axis=1) > 1)
+    most, stack = 0, [(0, 0)]
+    while stack:
+        i, waiting = stack.pop()
+        most = max(most, waiting)
+        if tree.feature[i] >= 0:
+            stack += [(tree.right[i], waiting), (i + 1, waiting + can[tree.right[i]])]
+    return most
+
+
+def test_grow_forest_stacks_every_node_that_waits_to_split():
+    # value i of 0..39 holds i + 1 rows of label i % 2 and one of the other, so
+    # every node has two classes; the best split peels the top value off the
+    # right end, where it waits on the stack (it has no valid cut) while the rest
+    # is split: 39 nodes wait at the deepest split, past the stack's first levels
+    X = np.repeat(np.arange(40.0), np.arange(2, 42)).reshape(-1, 1)
+    y = np.concatenate([[i % 2] * (i + 1) + [1 - i % 2] for i in range(40)])
+    tree, = grow_forest(X, y, 2, [np.arange(len(y))], [np.random.default_rng(0)],
+                        "gini", None, 1, 1)
+    assert _most_waiting(tree) == 39 and len(tree.feature) == 79
+    assert tree.to_dict() == _reference_tree(X, y, 2, np.arange(len(y)),
+                                             np.random.default_rng(0), "gini", None, 1, 1, "best")
+
+
+def test_a_step_pops_only_nodes_that_can_split(monkeypatch):
+    # with one batch per step, a step is one _split_segments call over the next
+    # node of every unfinished tree; a node that cannot split is a leaf when its
+    # parent splits and takes no step, so the steps are the most nodes any tree
+    # pops: its splits and its leaves with two classes (popped, no valid cut)
+    monkeypatch.setattr(tree_mod, "_BATCH_ROWS", 10**9)
+    calls = []
+    split_segments = tree_mod._split_segments
+
+    def counted(*args):
+        calls.append(len(args[5]))
+        return split_segments(*args)
+
+    monkeypatch.setattr(tree_mod, "_split_segments", counted)
+    rng = np.random.default_rng(24)
+    for trial in range(5):
+        X = rng.integers(0, 4, size=(150, 3)).astype(float)   # duplicates ...
+        y = rng.integers(0, 3, 150)   # ... with conflicting labels
+        calls.clear()
+        forest = RandomForestClassifier(n_estimators=6, seed=trial, min_samples_leaf=1).fit(X, y)
+        popped = [int((t.feature >= 0).sum() + ((t.value > 0).sum(axis=1) > 1).sum())
+                  for t in forest.trees_]
+        assert len(calls) == max(popped), trial
+        assert calls[0] == 6 and sorted(calls, reverse=True) == calls
 
 
 def _tree_arrays(tree):
