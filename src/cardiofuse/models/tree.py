@@ -29,17 +29,13 @@ from .base import ProbabilisticClassifier
 
 
 def _impurity_rows(counts: np.ndarray, n: np.ndarray, criterion: str) -> np.ndarray:
-    # rows of class counts and their sums -> impurity per row. Up to 7 classes, adding the
-    # terms class by class gives sum(axis=1)'s bits (a test pins this); past 7 it pairs them
-    def terms(p):
-        if criterion == "gini":
-            return p * p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return p * np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    n = np.maximum(n, 1)
-    total = (terms(np.ascontiguousarray(counts) / n[:, None]).sum(axis=1) if counts.shape[1] > 7
-             else sum(terms(counts[:, c] / n) for c in range(counts.shape[1])))
-    return 1.0 - total if criterion == "gini" else -total
+    # rows of class counts and their sums -> impurity per row
+    p = counts / np.maximum(n, 1)[:, None]
+    if criterion == "gini":
+        return 1.0 - (p * p).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return -(p * logp).sum(axis=1)
 
 
 def check_tree_params(criterion, max_depth, max_features):
@@ -147,20 +143,23 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
     """
     S, N, starts = len(nseg), len(rows), np.cumsum(nseg) - nseg
     seg, size = np.repeat(np.arange(S), nseg), counts.sum(axis=1)
-    onehot = (y[rows] == np.arange(counts.shape[1])[:, None]) * wts   # classes x rows
+    onehot = np.eye(counts.shape[1], dtype=np.int32)[y[rows]] * wts[:, None]
     if rngs is None:
-        # candidate x row keys in the smallest dtype that holds them, ranks read by flat index
-        key = (seg * len(X)).astype(np.min_scalar_type(S * len(X))) + np.take(
-            R, cand[seg].T + rows * X.shape[1])
-        order = np.argsort(key, axis=1, kind="stable")   # the order of ties reaches no output
-        key = np.take_along_axis(key, order, axis=1)
-        left = np.take(onehot, order, axis=1)   # classes x candidates x rows
-        left[:, :, starts[1:]] -= counts[:-1].T[:, None, :]
-        np.cumsum(left, axis=2, out=left)
-        ok = key[:, 1:] > key[:, :-1]   # a larger value follows
-        ok[:, starts[1:] - 1] = False   # ... in the same segment
-        p, j = np.nonzero(ok.T)   # grouped by segment, then by cut
-        s, L, rank = seg[p], left[:, j, p], j * N + p
+        # keys in the smallest dtype that holds them, ranks read by flat index
+        key = (seg * len(X)).astype(np.min_scalar_type(S * len(X)))[:, None] + np.take(
+            R, rows[:, None] * X.shape[1] + cand[seg])
+        order = np.argsort(key, axis=0, kind="stable")   # the order of ties reaches no output
+        key = np.take_along_axis(key, order, axis=0)
+        left = np.take(onehot, order, axis=0)
+        left[starts[1:]] -= counts[:-1, None, :].astype(np.int32)
+        np.cumsum(left, axis=0, out=left)
+        ok = np.diff(key, axis=0, append=key[-1:]) > 0   # a larger value follows
+        ok[starts + nseg - 1] = False   # ... in the same segment
+        p, j = np.nonzero(ok)   # grouped by segment, then by cut
+        s, L = seg[p], left[p, j]
+        nl = L.sum(axis=1)
+        keep = (nl >= min_leaf) & (size[s] - nl >= min_leaf)
+        s, L, nl, rank = s[keep], L[keep], nl[keep], (j * N + p)[keep]
     else:
         V = X[rows[:, None], cand[seg]]
         lo, hi = np.minimum.reduceat(V, starts), np.maximum.reduceat(V, starts)
@@ -169,25 +168,25 @@ def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf,
             live = np.flatnonzero(lo[b] != hi[b])
             # one uniform draw per non-constant candidate, in candidate order
             thr[b, live] = rng.uniform(lo[b, live], hi[b, live])
-        s, rank = np.nonzero(lo != hi)
-        L = np.add.reduceat((V <= thr[seg]) * onehot[:, :, None], starts, axis=1)[:, s, rank]
-    nl = L.sum(axis=0)   # L: classes x cuts
-    keep = (nl >= min_leaf) & (size[s] - nl >= min_leaf)
-    if not keep.all():
-        s, L, nl, rank = s[keep], L[:, keep], nl[keep], rank[keep]
+        go = V <= thr[seg]
+        cut = np.add.reduceat(go * wts[:, None], starts)
+        ok = (lo != hi) & (cut >= min_leaf) & (size[:, None] - cut >= min_leaf)
+        s, j = np.nonzero(ok)
+        L = np.add.reduceat(go[:, :, None] * onehot[:, None, :], starts)[s, j]
+        nl, rank = cut[s, j], j
     feature, threshold = np.full(S, -1), np.zeros(S)
     if len(s):
         n = size[s]
-        cost = (nl * _impurity_rows(L.T, nl, criterion)
-                + (n - nl) * _impurity_rows((counts.T[:, s] - L).T, n - nl, criterion)) / n
+        cost = (nl * _impurity_rows(L, nl, criterion)
+                + (n - nl) * _impurity_rows(counts[s] - L, n - nl, criterion)) / n
         # per segment: the least cost, then the least rank among its minima
-        first = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-        won, best = s[first], np.full(S, np.inf)
-        best[won] = np.minimum.reduceat(cost, first)
-        win = np.minimum.reduceat(np.where(cost == best[s], rank, N * cand.shape[1]), first)
+        first = np.flatnonzero(np.diff(s, prepend=-1))
+        best = np.repeat(np.minimum.reduceat(cost, first), np.diff(first, append=len(s)))
+        win = np.minimum.reduceat(np.where(cost == best, rank, np.iinfo(np.int64).max), first)
+        won = s[first]
         if rngs is None:
             j, p = np.divmod(win, N)
-            pair = X[rows[order[j, [p, p + 1]]], cand[won, j]]
+            pair = X[rows[order[[p, p + 1], j]], cand[won, j]]
             threshold[won] = (pair[0] + pair[1]) / 2.0
         else:
             j = win
@@ -259,9 +258,9 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
             break
         sp[live] -= 1
         top = stack[sp[live], live]
+        last = np.cumsum(top[:, 1] - top[:, 0])
         # a batch: the nodes whose last rows fall in one window of _BATCH_ROWS rows
-        window = (np.cumsum(top[:, 1] - top[:, 0]) - 1) // _BATCH_ROWS
-        cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1), len(live)]
+        cuts = [0, *(np.flatnonzero(np.diff((last - 1) // _BATCH_ROWS)) + 1), len(live)]
         kids, owners = [], []
         for a, b in zip(cuts, cuts[1:]):
             trees, (lo, hi, depth, node), counts = live[a:b], top[a:b, :4].T, top[a:b, 4:]

@@ -473,29 +473,6 @@ def test_candidates_equal_successive_choice_calls(d, m):
         assert x.random() == z.random()
 
 
-@pytest.mark.parametrize("k", range(2, 8))
-def test_class_by_class_sums_equal_sums_over_rows(k):
-    # _impurity_rows adds up to 7 class terms one class at a time; this rests on
-    # the installed numpy summing a short C-ordered row left to right
-    terms = np.random.default_rng(k).random((200_000, k)) ** 2
-    assert np.array_equal(sum(terms[:, c] for c in range(k)), terms.sum(axis=1))
-
-
-@pytest.mark.parametrize("criterion", ["gini", "entropy"])
-def test_impurity_rows_keep_the_bits_of_the_row_sum(criterion):
-    rng = np.random.default_rng(9)
-    for k in range(2, 13):
-        counts = rng.integers(0, 9, size=(5000, k)) * (rng.random((5000, k)) < 0.6)
-        n = counts.sum(axis=1)
-        p = counts / np.maximum(n, 1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = p * (p if criterion == "gini" else
-                         np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0))
-        want = 1.0 - terms.sum(axis=1) if criterion == "gini" else -terms.sum(axis=1)
-        for layout in (counts, np.ascontiguousarray(counts.T).T):   # rows, or classes
-            assert np.array_equal(_impurity_rows(layout, n, criterion), want), k
-
-
 def _random_split_oracle(X, y, k, criterion, candidates, min_leaf, rng):
     """Per candidate in draw order: a uniform threshold if the column is not constant; strict <."""
     n, counts = len(X), np.bincount(y, minlength=k)
