@@ -29,8 +29,10 @@ class FusionWeights:
 def weight_grid() -> list[FusionWeights]:
     """The 19 weight pairs: w1 from 0.95 down to 0.05 in steps of 0.05.
 
-    w2 is computed as 1 - w1, which is exact in binary floating point for
-    these values, so every pair sums to 1 exactly.
+    w2 is computed as 1 - w1. Six of those are long floats (1 - 0.95 is
+    0.050000000000000044), but every pair sums to exactly 1.0. Rounding w2
+    too changes report bytes and the benchmark's weight check, so it waits
+    for ROADMAP item 9's rider.
     """
     grid = []
     for i in range(19):

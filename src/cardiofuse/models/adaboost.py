@@ -66,15 +66,12 @@ class AdaBoostClassifier(ProbabilisticClassifier):
     _PARAMS = ("n_estimators", "learning_rate")
 
     def __init__(self, n_estimators: int = 200, learning_rate: float = 0.01):
-        super().__init__()
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
-        self.stumps_ = []   # (feature, threshold, left_class, right_class)
-        self.alphas_ = []
 
     def _fit(self, X, y):
         if self.class_count_ > 2:

@@ -120,21 +120,22 @@ class ProbabilisticClassifier:
     """Base class: fit(X, y) then predict_proba(X) -> row-normalized scores."""
 
     kind = "?"
-    # hyperparameters in model-document order, ahead of the fitted state
+    # hyperparameters in model-document order, ahead of the fitted state; each
+    # is a constructor argument, so from_dict checks a document's settings
     _PARAMS: tuple[str, ...] = ()
-
-    def __init__(self):
-        self.fitted = False
-        self.n_features_ = None
-        self.class_count_ = None
+    # a subclass constructor takes and checks settings only; fit and from_dict
+    # alone write fitted, n_features_, the fitted count and the fitted state
+    fitted = False
+    _class_count = _preset_count = None
 
     @property
     def class_count_(self):
-        return self._class_count
+        """The count of the last fit or load, else the one set before fit."""
+        return self._preset_count if self._class_count is None else self._class_count
 
     @class_count_.setter
     def class_count_(self, k):
-        self._class_count = self._preset_count = k
+        self._preset_count = k
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
@@ -144,7 +145,6 @@ class ProbabilisticClassifier:
         if X.shape[0] == 0:
             raise ModelError("cannot fit on an empty table")
         self._require_finite(X, "fit on")
-        self.n_features_ = X.shape[1]
         # a count set before fit stays; one fit inferred is inferred again. A
         # degenerate single-class target still yields a binary scorer
         k = self._preset_count or max(int(y.max()) + 1, 2)
@@ -152,7 +152,8 @@ class ProbabilisticClassifier:
         if outside.size:
             raise ModelError(f"{self.kind} model cannot fit on row {outside[0]}: "
                              f"label {y[outside[0]]} is not in 0..{k - 1}")
-        self._class_count = k
+        # every check passed: a fit that raises from here leaves the model unfitted
+        self.fitted, self.n_features_, self._class_count = False, X.shape[1], k
         with one_blas_thread:
             self._fit(X, y)
         self.fitted = True
@@ -201,11 +202,6 @@ class ProbabilisticClassifier:
     def _params_to_dict(self) -> dict:
         return {**{p: getattr(self, p) for p in self._PARAMS}, **self._state_to_dict()}
 
-    def _params_from_dict(self, doc: dict):
-        for p in self._PARAMS:
-            setattr(self, p, doc[p])
-        self._state_from_dict(doc)
-
     def to_dict(self) -> dict:
         if not self.fitted:
             raise NotFittedError("cannot serialize an unfitted model")
@@ -219,13 +215,18 @@ class ProbabilisticClassifier:
 
     @staticmethod
     def from_dict(doc: dict) -> "ProbabilisticClassifier":
-        from . import make_model  # registry lives in the package init
+        from . import model_class  # registry lives in the package init
         if doc.get("version") != SERIAL_VERSION:
             raise ModelError(f"unsupported model document version {doc.get('version')}")
-        model = make_model(doc["kind"])
+        cls, params = model_class(doc["kind"]), doc["params"]
+        try:
+            model = cls(**{p: params[p] for p in cls._PARAMS})
+        except ValueError as e:
+            raise ModelError(f"{cls.kind} model document: {e}") from None
+        # a loaded count stays for a refit, as one set before fit does
+        model.class_count_ = model._class_count = doc["class_count"]
         model.n_features_ = doc["n_features"]
-        model.class_count_ = doc["class_count"]
-        model._params_from_dict(doc["params"])
+        model._state_from_dict(params)
         model.fitted = True
         return model
 

@@ -26,10 +26,9 @@ class RandomForestClassifier(ProbabilisticClassifier):
     def __init__(self, n_estimators: int = 100, seed: int = 0, bootstrap: bool = True,
                  criterion: str = "gini", max_depth: int | None = None,
                  max_features: int | None = None, min_samples_leaf: int = 1):
-        super().__init__()
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        check_tree_params(criterion, max_depth, max_features)
+        check_tree_params(criterion, max_depth, max_features, min_samples_leaf)
         self.n_estimators = n_estimators
         self.seed = seed
         self.bootstrap = bootstrap
@@ -37,8 +36,6 @@ class RandomForestClassifier(ProbabilisticClassifier):
         self.max_depth = max_depth
         self.max_features = max_features
         self.min_samples_leaf = min_samples_leaf
-        self.trees_ = []
-        self.tree_seeds_ = None
 
     def _fit(self, X, y):
         n = len(X)

@@ -17,14 +17,14 @@ class LogisticRegressionClassifier(ProbabilisticClassifier):
     _PARAMS = ("C",)
 
     def __init__(self, C: float = 1.0, max_iter: int = 5000, tol: float = 1e-6):
-        super().__init__()
-        if C <= 0:
-            raise ValueError("C must be positive")
+        for name, value in (("C", C), ("tol", tol)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         self.C = C
         self.max_iter = max_iter
         self.tol = tol
-        self.w_ = None
-        self.b_ = None
 
     def _fit(self, X, y):
         n, d = X.shape

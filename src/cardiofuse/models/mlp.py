@@ -21,11 +21,11 @@ class MLPClassifier(ProbabilisticClassifier):
     def __init__(self, hidden_units: int = 8, learning_rate: float = 0.01,
                  batch_size: int = 10, epochs: int = 15, l2: float = 0.01,
                  seed: int = 0):
-        super().__init__()
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         for name, value, least in (("hidden_units", hidden_units, 1),
-                                   ("batch_size", batch_size, 1), ("epochs", epochs, 0)):
+                                   ("batch_size", batch_size, 1), ("epochs", epochs, 0),
+                                   ("l2", l2, 0)):
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, not {value}")
         self.hidden_units = hidden_units
@@ -34,7 +34,6 @@ class MLPClassifier(ProbabilisticClassifier):
         self.epochs = epochs
         self.l2 = l2
         self.seed = seed
-        self.W1 = self.b1 = self.W2 = self.b2 = None
 
     def init_params(self, n_features: int, rng=None):
         rng = rng or np.random.default_rng(self.seed)

@@ -15,7 +15,8 @@ import warnings
 
 import numpy as np
 
-from .base import ProbabilisticClassifier, one_blas_thread, sigmoid
+from .base import (ModelError, NotFittedError, ProbabilisticClassifier, one_blas_thread,
+                   sigmoid)
 
 
 def rbf_kernel(A, B, gamma):
@@ -165,9 +166,11 @@ class SVMClassifier(ProbabilisticClassifier):
 
     def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma: float = 0.1,
                  tol: float = 1e-3, max_passes: int = 200):
-        super().__init__()
-        if C <= 0:
-            raise ValueError("C must be positive")
+        for name, value in (("C", C), ("gamma", gamma), ("tol", tol)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
+        if max_passes < 1:
+            raise ValueError("max_passes must be >= 1")
         if kernel not in KERNELS:
             raise ValueError(f"unsupported kernel {kernel!r}")
         self.C = C
@@ -175,20 +178,18 @@ class SVMClassifier(ProbabilisticClassifier):
         self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-        self.machines_ = []
-        self.single_class_ = None
-        self.solver_ = []   # per machine: {iterations, converged, gap}
 
     def _kernel(self, A, B):
         return KERNELS[self.kernel](A, B, self.gamma)
 
     def _fit(self, X, y):
         k = self.class_count_
+        # solver_ holds {iterations, converged, gap} per machine and is not in documents
+        self.single_class_, self.machines_, self.solver_ = None, [], []
         present = np.unique(y)
         if len(present) == 1:
             self.single_class_ = int(present[0])
             return
-        self.single_class_, self.machines_, self.solver_ = None, [], []
         Z = kernel_factor(X, self.kernel, self.gamma)
         positive_sets = [1] if k == 2 else list(range(k))
         for cls in positive_sets:
@@ -204,6 +205,11 @@ class SVMClassifier(ProbabilisticClassifier):
                                    "b": b, "A": A, "B": B})
 
     def decision_function(self, X, machine: int = 0):
+        if not self.fitted:
+            raise NotFittedError(f"{self.kind} model is not fitted")
+        if not 0 <= machine < len(self.machines_):   # a single-class model has none
+            raise ModelError(f"{self.kind} model has no machine {machine}; "
+                             f"it has {len(self.machines_)}")
         m = self.machines_[machine]
         with one_blas_thread:
             return self._kernel(np.asarray(X, dtype=np.float64), m["sv_X"]) @ m["coef"] + m["b"]

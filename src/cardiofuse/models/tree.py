@@ -38,7 +38,7 @@ def _impurity_rows(counts: np.ndarray, n: np.ndarray, criterion: str) -> np.ndar
     return -(p * logp).sum(axis=1)
 
 
-def check_tree_params(criterion, max_depth, max_features):
+def check_tree_params(criterion, max_depth, max_features, min_samples_leaf):
     """Raise ValueError on a tree setting that DT and RF cannot grow with."""
     if criterion not in ("gini", "entropy"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -46,6 +46,8 @@ def check_tree_params(criterion, max_depth, max_features):
         raise ValueError("max_depth must be >= 1")
     if max_features is not None and max_features < 0:
         raise ValueError("max_features must be >= 0")
+    if min_samples_leaf < 0:
+        raise ValueError("min_samples_leaf must be >= 0")
 
 
 class Tree:
@@ -434,8 +436,7 @@ class DecisionTreeClassifier(ProbabilisticClassifier):
     def __init__(self, criterion: str = "gini", max_depth: int | None = 8,
                  max_features: int | None = 8, min_samples_leaf: int = 7,
                  splitter: str = "random", seed: int = 0):
-        super().__init__()
-        check_tree_params(criterion, max_depth, max_features)
+        check_tree_params(criterion, max_depth, max_features, min_samples_leaf)
         if splitter not in ("random", "best"):
             raise ValueError(f"unknown splitter {splitter!r}")
         self.criterion = criterion
@@ -444,7 +445,6 @@ class DecisionTreeClassifier(ProbabilisticClassifier):
         self.min_samples_leaf = min_samples_leaf
         self.splitter = splitter
         self.seed = seed
-        self.tree_ = None
 
     def _fit(self, X, y):
         self.tree_, = grow_forest(X, y, self.class_count_, [np.arange(len(y))],

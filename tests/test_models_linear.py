@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import warnings
@@ -5,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cardiofuse.models import (MODEL_KINDS, LogisticRegressionClassifier, ModelError,
+from cardiofuse.models import (MODEL_KINDS, AdaBoostClassifier, DivergenceError,
+                               LogisticRegressionClassifier, MLPClassifier, ModelError,
                                NotFittedError, ProbabilisticClassifier, ShapeError,
-                               SVMClassifier, make_model)
+                               SVMClassifier, make_model, model_class)
 from cardiofuse.models.base import one_blas_thread
 from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
                                    linear_kernel, platt_prob, rbf_kernel)
@@ -185,6 +187,118 @@ def test_an_inferred_class_count_is_inferred_again_and_a_set_one_stays():
         with pytest.raises(ModelError, match="label 5 is not in 0..4"):
             m.fit(X, five + 1)
         assert m.class_count_ == 5
+
+
+# model lifecycle: settings pass the constructor, fitted state comes from fit or from_dict
+
+def test_a_refused_fit_leaves_a_fitted_model_as_it_was():
+    rng = np.random.default_rng(10)
+    X, y = rng.normal(size=(60, 4)), rng.integers(0, 2, 60)
+    labels = y.copy()
+    labels[1] = 7
+    for kind in MODEL_KINDS:
+        m = make_model(kind)
+        m.class_count_ = 2   # as the pipeline sets it
+        m.fit(X, y)
+        scores, doc = m.predict_proba(X), m.to_dict()
+        # refused on its labels, after the width of the rows was read
+        with pytest.raises(ModelError, match=re.escape(
+                f"{kind} model cannot fit on row 1: label 7 is not in 0..1")):
+            m.fit(X[:, :3], labels)
+        assert m.predict_proba(X).tobytes() == scores.tobytes(), kind
+        assert m.to_dict() == doc, kind
+
+
+def _assert_unfitted(m, X):
+    with pytest.raises(NotFittedError):
+        m.predict_proba(X)
+    with pytest.raises(NotFittedError):
+        m.to_dict()
+
+
+def test_a_diverging_ann_refit_leaves_the_model_unfitted():
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(40, 5)) * 100, rng.integers(0, 2, 40)
+    m = MLPClassifier(epochs=5, seed=1).fit(X, y)
+    m.learning_rate = 1e150
+    with pytest.raises(DivergenceError, match=r"at learning rate 1e\+150"):
+        m.fit(X, y)
+    _assert_unfitted(m, X)
+
+
+def test_a_three_label_refit_of_binary_boosting_leaves_it_unfitted():
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(40, 5)), rng.integers(0, 2, 40)
+    m = AdaBoostClassifier().fit(X, y)
+    with pytest.raises(ModelError, match="binary tasks only"):
+        m.fit(X, np.arange(40) % 3)
+    _assert_unfitted(m, X)   # it was fitted, and a document would say class_count 3
+
+
+def test_an_svm_refit_on_one_class_keeps_no_machine_of_the_last_fit():
+    X, y = separable_set(np.random.default_rng(6))
+    m = SVMClassifier().fit(X, y)
+    assert len(m.machines_) == len(m.solver_) == 1
+    m.fit(X, np.zeros(len(X), dtype=int))
+    params = m.to_dict()["params"]
+    assert params["single_class"] == 0 and params["machines"] == [] and m.solver_ == []
+    assert m.predict_proba(X[:1]).tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("kind,setting,value,message", [
+    ("SVM", "kernel", "poly", "unsupported kernel 'poly'"),
+    ("SVM", "C", -1, "C must be positive"),
+    ("SVM", "gamma", -1.0, "gamma must be positive"),
+    ("SVM", "gamma", 0.0, "gamma must be positive"),
+    ("SVM", "tol", 0.0, "tol must be positive"),
+    ("SVM", "max_passes", 0, "max_passes must be >= 1"),
+    ("LR", "tol", -1e-6, "tol must be positive"),
+    ("LR", "max_iter", 0, "max_iter must be >= 1"),
+    ("ANN", "l2", -0.01, "l2 must be at least 0, not -0.01"),
+    ("DT", "min_samples_leaf", -1, "min_samples_leaf must be >= 0"),
+    ("RF", "min_samples_leaf", -1, "min_samples_leaf must be >= 0"),
+    ("RF", "n_estimators", 0, "n_estimators must be >= 1"),
+])
+def test_a_setting_no_fit_can_use_is_refused_by_the_constructor_and_by_from_dict(
+        kind, setting, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_model(kind, **{setting: value})
+    if setting not in model_class(kind)._PARAMS:   # a setting documents do not carry
+        return
+    rng = np.random.default_rng(11)
+    model = make_model(kind, **({"n_estimators": 3} if kind == "RF" else {}))
+    doc = json.loads(json.dumps(model.fit(rng.normal(size=(40, 3)),
+                                          rng.integers(0, 2, 40)).to_dict()))
+    doc["params"][setting] = value
+    with pytest.raises(ModelError, match=re.escape(f"{kind} model document: {message}")):
+        ProbabilisticClassifier.from_dict(doc)
+
+
+def test_tree_settings_of_zero_stay_legal():
+    for kind in ("DT", "RF"):
+        assert make_model(kind, min_samples_leaf=0, max_features=0).min_samples_leaf == 0
+
+
+def test_every_document_setting_is_a_constructor_argument():
+    # from_dict builds a model through its constructor from these names
+    for kind in MODEL_KINDS:
+        cls = model_class(kind)
+        assert set(cls._PARAMS) <= set(inspect.signature(cls).parameters), kind
+
+
+def test_svm_decision_function_refuses_what_it_cannot_score():
+    X, y = separable_set(np.random.default_rng(6))
+    m = SVMClassifier()
+    with pytest.raises(NotFittedError, match="SVM model is not fitted"):
+        m.decision_function(X)
+    m.fit(X, y)
+    assert m.decision_function(X, 0).shape == (len(X),)
+    for machine in (1, -1):
+        with pytest.raises(ModelError, match=f"SVM model has no machine {machine}; it has 1"):
+            m.decision_function(X, machine)
+    m.fit(X, np.zeros(len(X), dtype=int))   # a single-class model has no machine
+    with pytest.raises(ModelError, match="SVM model has no machine 0; it has 0"):
+        m.decision_function(X)
 
 
 def test_platt_fit_is_monotone_and_calibrated():

@@ -321,6 +321,16 @@ def test_cli_repeat_reports_mean_and_std(tmp_path, capsys):
             == (tmp_path / "single" / "report.json").read_bytes())
 
 
+def test_cli_refuses_an_svm_gamma_no_fit_can_use(tmp_path, capsys):
+    # a gamma of -1 once trained an SVM at chance level and wrote a report with exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hyperparams": {"SVM": {"gamma": -1.0}}}))
+    report_dir = tmp_path / "rep"
+    assert cli_main(["run", "--config", str(cfg), "--report-dir", str(report_dir)]) == 3
+    assert "pipeline error: stage 'train': gamma must be positive" in capsys.readouterr().err
+    assert not report_dir.exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # usage error: malformed pair
     assert cli_main(["run", "--pairs", "lr"]) == 1
