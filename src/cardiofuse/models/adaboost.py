@@ -63,7 +63,6 @@ def _best_stump(scan, y, w):
 
 class AdaBoostClassifier(ProbabilisticClassifier):
     kind = "ADA"
-    _PARAMS = ("n_estimators", "learning_rate")
 
     def __init__(self, n_estimators: int = 200, learning_rate: float = 0.01):
         if n_estimators < 1:

@@ -9,6 +9,7 @@ Fits and scores run on one BLAS thread (``one_blas_thread``).
 from __future__ import annotations
 
 import functools
+import inspect
 import threading
 
 import numpy as np
@@ -120,13 +121,17 @@ class ProbabilisticClassifier:
     """Base class: fit(X, y) then predict_proba(X) -> row-normalized scores."""
 
     kind = "?"
-    # hyperparameters in model-document order, ahead of the fitted state; each
-    # is a constructor argument, so from_dict checks a document's settings
-    _PARAMS: tuple[str, ...] = ()
+    # a subclass's settings are its constructor arguments in signature order;
+    # documents carry them ahead of the fitted state for from_dict to pass back
+    settings: tuple[str, ...] = ()
     # a subclass constructor takes and checks settings only; fit and from_dict
     # alone write fitted, n_features_, the fitted count and the fitted state
     fitted = False
     _class_count = _preset_count = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.settings = tuple(inspect.signature(cls).parameters)
 
     @property
     def class_count_(self):
@@ -199,9 +204,6 @@ class ProbabilisticClassifier:
         raise NotImplementedError
 
     # serialization ------------------------------------------------------
-    def _params_to_dict(self) -> dict:
-        return {**{p: getattr(self, p) for p in self._PARAMS}, **self._state_to_dict()}
-
     def to_dict(self) -> dict:
         if not self.fitted:
             raise NotFittedError("cannot serialize an unfitted model")
@@ -210,7 +212,7 @@ class ProbabilisticClassifier:
             "kind": self.kind,
             "n_features": self.n_features_,
             "class_count": self.class_count_,
-            "params": self._params_to_dict(),
+            "params": {**{s: getattr(self, s) for s in self.settings}, **self._state_to_dict()},
         }
 
     @staticmethod
@@ -218,15 +220,18 @@ class ProbabilisticClassifier:
         from . import model_class  # registry lives in the package init
         if doc.get("version") != SERIAL_VERSION:
             raise ModelError(f"unsupported model document version {doc.get('version')}")
-        cls, params = model_class(doc["kind"]), doc["params"]
+        cls = model_class(doc["kind"])
         try:
-            model = cls(**{p: params[p] for p in cls._PARAMS})
-        except ValueError as e:
+            params = doc["params"]
+            model = cls(**{s: params[s] for s in cls.settings})
+            # a loaded count stays for a refit, as one set before fit does
+            model.class_count_ = model._class_count = doc["class_count"]
+            model.n_features_ = doc["n_features"]
+            model._state_from_dict(params)
+        except KeyError as e:
+            raise ModelError(f"{cls.kind} model document: no field {e}") from None
+        except (TypeError, ValueError) as e:
             raise ModelError(f"{cls.kind} model document: {e}") from None
-        # a loaded count stays for a refit, as one set before fit does
-        model.class_count_ = model._class_count = doc["class_count"]
-        model.n_features_ = doc["n_features"]
-        model._state_from_dict(params)
         model.fitted = True
         return model
 

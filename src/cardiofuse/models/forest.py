@@ -20,8 +20,6 @@ from .tree import Tree, check_tree_params, grow_forest, score_forest
 
 class RandomForestClassifier(ProbabilisticClassifier):
     kind = "RF"
-    _PARAMS = ("n_estimators", "seed", "bootstrap", "criterion", "max_depth", "max_features",
-               "min_samples_leaf")
 
     def __init__(self, n_estimators: int = 100, seed: int = 0, bootstrap: bool = True,
                  criterion: str = "gini", max_depth: int | None = None,
@@ -39,8 +37,8 @@ class RandomForestClassifier(ProbabilisticClassifier):
 
     def _fit(self, X, y):
         n = len(X)
-        self.tree_seeds_ = np.random.SeedSequence(self.seed).generate_state(self.n_estimators)
-        rngs = [np.random.default_rng(int(s)) for s in self.tree_seeds_]
+        seeds = np.random.SeedSequence(self.seed).generate_state(self.n_estimators)
+        rngs = [np.random.default_rng(int(s)) for s in seeds]
         # bootstrap rows as indices into X, made lazily so no list keeps them alive
         roots = (rng.integers(0, n, size=n) if self.bootstrap else np.arange(n) for rng in rngs)
         self.trees_ = grow_forest(X, y, self.class_count_, roots, rngs, self.criterion,

@@ -14,7 +14,6 @@ from .base import DivergenceError, ProbabilisticClassifier, one_hot, sigmoid, so
 
 class LogisticRegressionClassifier(ProbabilisticClassifier):
     kind = "LR"
-    _PARAMS = ("C",)
 
     def __init__(self, C: float = 1.0, max_iter: int = 5000, tol: float = 1e-6):
         for name, value in (("C", C), ("tol", tol)):

@@ -16,7 +16,6 @@ from .base import DivergenceError, ProbabilisticClassifier, one_hot, sigmoid, so
 
 class MLPClassifier(ProbabilisticClassifier):
     kind = "ANN"
-    _PARAMS = ("hidden_units", "learning_rate", "batch_size", "epochs", "l2", "seed")
 
     def __init__(self, hidden_units: int = 8, learning_rate: float = 0.01,
                  batch_size: int = 10, epochs: int = 15, l2: float = 0.01,

@@ -162,7 +162,6 @@ def platt_prob(A, B, f):
 
 class SVMClassifier(ProbabilisticClassifier):
     kind = "SVM"
-    _PARAMS = ("C", "kernel", "gamma")
 
     def __init__(self, C: float = 1.0, kernel: str = "rbf", gamma: float = 0.1,
                  tol: float = 1e-3, max_passes: int = 200):

@@ -431,7 +431,6 @@ def _exit_leaves_by_bitvectors(feature, threshold, child, before, base, X):
 
 class DecisionTreeClassifier(ProbabilisticClassifier):
     kind = "DT"
-    _PARAMS = ("criterion", "max_depth", "max_features", "min_samples_leaf", "splitter", "seed")
 
     def __init__(self, criterion: str = "gini", max_depth: int | None = 8,
                  max_features: int | None = 8, min_samples_leaf: int = 7,

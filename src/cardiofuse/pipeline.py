@@ -10,7 +10,6 @@ written only when the whole run has succeeded.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
 import shutil
@@ -129,9 +128,8 @@ class RunConfig:
                                   f"expected one of {MODEL_KINDS}")
             if not isinstance(params, dict):
                 raise ConfigError(f"hyperparams: {kind} needs a mapping of parameters")
-            accepted = inspect.signature(model_class(kind)).parameters
             for name in params:
-                if name not in accepted:
+                if name not in model_class(kind).settings:
                     raise ConfigError(f"hyperparams: {kind} has no parameter {name!r}")
 
     def experiment_dict(self) -> dict:
@@ -228,7 +226,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     for kind in kinds:
         hp = defaults[kind]
         hp.update(config.hyperparams.get(kind, {}))
-        if "seed" in model_class(kind)._PARAMS:
+        if "seed" in model_class(kind).settings:
             hp.setdefault("seed", child_seed(seed, "train", kind))
         scores, scaler_doc[kind] = _fit_and_score(kind, hp, train, tables,
                                                   task.class_count)

@@ -97,7 +97,7 @@ def test_mlp_training_is_deterministic():
         m = MLPClassifier(epochs=5, batch_size=10, seed=13)
         m.class_count_ = 2
         m.fit(X, y)
-        runs.append(m._params_to_dict())
+        runs.append(m.to_dict()["params"])
     assert runs[0] == runs[1]
 
 

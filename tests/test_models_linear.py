@@ -1,4 +1,3 @@
-import inspect
 import json
 import re
 import warnings
@@ -263,8 +262,6 @@ def test_a_setting_no_fit_can_use_is_refused_by_the_constructor_and_by_from_dict
         kind, setting, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_model(kind, **{setting: value})
-    if setting not in model_class(kind)._PARAMS:   # a setting documents do not carry
-        return
     rng = np.random.default_rng(11)
     model = make_model(kind, **({"n_estimators": 3} if kind == "RF" else {}))
     doc = json.loads(json.dumps(model.fit(rng.normal(size=(40, 3)),
@@ -279,11 +276,45 @@ def test_tree_settings_of_zero_stay_legal():
         assert make_model(kind, min_samples_leaf=0, max_features=0).min_samples_leaf == 0
 
 
-def test_every_document_setting_is_a_constructor_argument():
-    # from_dict builds a model through its constructor from these names
-    for kind in MODEL_KINDS:
-        cls = model_class(kind)
-        assert set(cls._PARAMS) <= set(inspect.signature(cls).parameters), kind
+# every constructor argument at a legal value other than its default
+_SETTINGS = {
+    "LR": {"C": 0.5, "max_iter": 300, "tol": 1e-4},
+    "SVM": {"C": 2.0, "kernel": "linear", "gamma": 0.5, "tol": 1e-4, "max_passes": 100},
+    "DT": {"criterion": "entropy", "max_depth": 4, "max_features": 2, "min_samples_leaf": 3,
+           "splitter": "best", "seed": 5},
+    "RF": {"n_estimators": 5, "seed": 3, "bootstrap": False, "criterion": "entropy",
+           "max_depth": 4, "max_features": 2, "min_samples_leaf": 2},
+    "ANN": {"hidden_units": 4, "learning_rate": 0.05, "batch_size": 8, "epochs": 5,
+            "l2": 0.001, "seed": 9},
+    "ADA": {"n_estimators": 20, "learning_rate": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_loaded_model_has_every_setting_and_refits_as_the_saved_one_did(kind):
+    cls, settings = model_class(kind), _SETTINGS[kind]
+    assert tuple(settings) == cls.settings
+    default = cls()
+    assert all(value != getattr(default, s) for s, value in settings.items())
+    X, y = separable_set(np.random.default_rng(12), n=40)
+    doc = cls(**settings).fit(X, y).to_dict()
+    loaded = ProbabilisticClassifier.from_dict(json.loads(json.dumps(doc)))
+    assert {s: getattr(loaded, s) for s in cls.settings} == settings
+    assert loaded.fit(X, y).to_dict() == doc
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["params"].pop("gamma"), "no field 'gamma'"),
+    (lambda doc: doc["params"].pop("machines"), "no field 'machines'"),
+    (lambda doc: doc.pop("n_features"), "no field 'n_features'"),
+    (lambda doc: doc["params"].update(C="1"), "'<=' not supported between instances of 'str'"),
+], ids=["setting", "state", "width", "mistyped"])
+def test_a_document_missing_or_mistyping_a_field_names_its_kind(edit, message):
+    X, y = separable_set(np.random.default_rng(13))
+    doc = SVMClassifier().fit(X, y).to_dict()
+    edit(doc)
+    with pytest.raises(ModelError, match=re.escape(f"SVM model document: {message}")):
+        ProbabilisticClassifier.from_dict(doc)
 
 
 def test_svm_decision_function_refuses_what_it_cannot_score():

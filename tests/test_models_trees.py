@@ -110,10 +110,10 @@ def test_random_splitter_deterministic_per_seed():
     X, y = blob_data(rng)
     a = DecisionTreeClassifier(seed=7).fit(X, y)
     b = DecisionTreeClassifier(seed=7).fit(X, y)
-    assert a._params_to_dict() == b._params_to_dict()
+    assert a.to_dict()["params"] == b.to_dict()["params"]
     c = DecisionTreeClassifier(seed=8).fit(X, y)
     assert (a.predict_proba(X) == b.predict_proba(X)).all()
-    assert c._params_to_dict()["root"] != a._params_to_dict()["root"]
+    assert c.to_dict()["params"]["root"] != a.to_dict()["params"]["root"]
 
 
 def test_best_split_invariant_under_monotone_transform():
@@ -145,9 +145,9 @@ def test_forest_of_one_without_bootstrap_equals_tree():
     forest = RandomForestClassifier(n_estimators=1, seed=11, bootstrap=False,
                                     max_features=3, min_samples_leaf=2,
                                     max_depth=6).fit(X, y)
+    seed, = np.random.SeedSequence(11).generate_state(1)   # the forest's one tree seed
     tree = DecisionTreeClassifier(criterion="gini", max_depth=6, max_features=3,
-                                  min_samples_leaf=2, splitter="best",
-                                  seed=int(forest.tree_seeds_[0])).fit(X, y)
+                                  min_samples_leaf=2, splitter="best", seed=int(seed)).fit(X, y)
     assert np.array_equal(forest.predict_proba(X), tree.predict_proba(X))
 
 
@@ -295,7 +295,7 @@ def test_forest_deterministic_given_seed():
     X, y = blob_data(rng)
     a = RandomForestClassifier(n_estimators=10, seed=3).fit(X, y)
     b = RandomForestClassifier(n_estimators=10, seed=3).fit(X, y)
-    assert a._params_to_dict() == b._params_to_dict()
+    assert a.to_dict()["params"] == b.to_dict()["params"]
 
 
 def test_serialization_round_trip():
@@ -633,7 +633,7 @@ def test_forest_tree_equals_the_tree_grown_alone():
     rng = np.random.default_rng(15)
     X, y = blob_data(rng, n=90, d=5, k=3)
     forest = RandomForestClassifier(n_estimators=8, seed=21, min_samples_leaf=2).fit(X, y)
-    for t, seed in enumerate(forest.tree_seeds_):
+    for t, seed in enumerate(np.random.SeedSequence(21).generate_state(8)):
         gen = np.random.default_rng(int(seed))
         root = gen.integers(0, len(X), size=len(X))
         alone, = grow_forest(X, y, 3, [root], [gen], "gini", None, 2, 2)
@@ -678,17 +678,18 @@ _DOC_DIGESTS = {
     ("multiclass", 0.2, "RF"): "d065125522a2bf64b31b84719dd12cd3d41b1f1d698b46cb59281b70772e710f",
     ("multiclass", 0.3, "RF"): "b25a0d71ee2eb28af426d488ea9a8c51f8436e107348f094b07289e53705e60f",
     # recorded once fits ran on one BLAS thread: these hold under any thread count
-    ("binary", 0.2, "LR"): "5b7fcc0b65d67d1b0202e116f908c301e19a48a7e9d5a3fc3489a9bbdb5ccfd8",
-    ("binary", 0.2, "SVM"): "9caecb675eda1e7f218f627e4c38db88afc1b246202a23cfce068900e0290b38",
+    # (LR and SVM re-recorded when documents began to carry every constructor argument)
+    ("binary", 0.2, "LR"): "42fca644b3d8d1ab561b41ae56899a61e009871fb1b0bf034f901dd9b27610c8",
+    ("binary", 0.2, "SVM"): "4e285e0eaadaddcb1cf346691c34fd3e662192269101de62680659bdf7ad864d",
     ("binary", 0.2, "ANN"): "572c49f941a5ba42e1d46667fd260062d81df5da4727a2950397e84894cae3e7",
-    ("binary", 0.3, "LR"): "3a8bb6ff903749922dc3123a06b8bc1874da4ed1adf96f6106531fbbbcb0bf42",
-    ("binary", 0.3, "SVM"): "c84b43b70bd131e84751870f054ab085bfc20816cf17a890caaa0be7013e9b6b",
+    ("binary", 0.3, "LR"): "fae303ef5b6d9d913a7b3441205ba0b16250918f8f2fab60e24bbf30ccbe8eda",
+    ("binary", 0.3, "SVM"): "b6f7433d9657aee8b9c9cbceb0efaa9ab295dcf03152c62a80edb53340dd5347",
     ("binary", 0.3, "ANN"): "6172335ebd80c7c4e1245acc8b2da882230d7894b5d502c888d38a9a3c98bf84",
-    ("multiclass", 0.2, "LR"): "d57e663f2c422db0e1c83b94006079fa4463b26db3b555ff1832de997fb56644",
-    ("multiclass", 0.2, "SVM"): "e569344481e21df6b96ffd833f0b23cced84a14b9f646d3cd50ab3c614b1ece0",
+    ("multiclass", 0.2, "LR"): "7554548fa26b6d2f4f890cf8438f5e432bccd6578fbc92797f0ed9445587ba7f",
+    ("multiclass", 0.2, "SVM"): "ab94624ed10b9c793c2ade0ed7841d49a183d8349e6f0635a99a5979a5007a29",
     ("multiclass", 0.2, "ANN"): "7d8e25ebe7bc9a09ecff42654b28e1725077cab8d81fd0b58ebec41604fc220d",
-    ("multiclass", 0.3, "LR"): "afa6b7cd2e4f84446cfe352d14fbb05bc4f6698426e0420fa6357cee031b99a8",
-    ("multiclass", 0.3, "SVM"): "f28500eafdb8bec0da6010d2a18a1280b940e28707b801a9c59ca262428236ab",
+    ("multiclass", 0.3, "LR"): "b5f8d39b1c84cbb548fa456faf2260daff8ebac86f03df8e53e2e65236e5fdff",
+    ("multiclass", 0.3, "SVM"): "b349194ad45c9390944f2fe0975766a958729618cd33e362c2acd1e6ef92d483",
     ("multiclass", 0.3, "ANN"): "859a82780b0073e833292a656e6c59bcc2ea7d0bd87f860ab6ab4e7eb6549e8d",
 }
 
