@@ -220,6 +220,10 @@ class ProbabilisticClassifier:
         from . import model_class  # registry lives in the package init
         if doc.get("version") != SERIAL_VERSION:
             raise ModelError(f"unsupported model document version {doc.get('version')}")
+        if "kind" not in doc:
+            raise ModelError("model document: no field 'kind'")
+        if not isinstance(doc["kind"], str):
+            raise ModelError(f"model document: field 'kind' is {doc['kind']!r}, not a string")
         cls = model_class(doc["kind"])
         try:
             params = doc["params"]

@@ -66,20 +66,27 @@ class Tree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Tree":
-        """Lay out a nested node document in preorder, left before right."""
-        nodes, right, stack = [], [], [(doc, -1)]   # (node, split whose right child it is)
+        """Lay out a nested node document in preorder, left before right, in one walk."""
+        feature, threshold, right, leaves, dists = [], [], [], [], []
+        stack = [(doc, -1)]   # (node, split whose right child it is)
         while stack:
             node, parent = stack.pop()
+            i = len(right)
             if parent >= 0:
-                right[parent] = len(nodes)
-            nodes.append(node)
+                right[parent] = i
             right.append(-1)
-            if "dist" not in node:
-                stack += [(node["right"], len(nodes) - 1), (node["left"], -1)]
-        k = len(next(node["dist"] for node in nodes if "dist" in node))
-        return cls([node.get("feature", -1) for node in nodes],
-                   [node.get("threshold", 0.0) for node in nodes], right,
-                   [node.get("dist", np.zeros(k)) for node in nodes])
+            if "dist" in node:
+                feature.append(-1)
+                threshold.append(0.0)
+                leaves.append(i)
+                dists.append(node["dist"])
+            else:
+                feature.append(node["feature"])
+                threshold.append(node["threshold"])
+                stack += [(node["right"], i), (node["left"], -1)]
+        value = np.zeros((len(right), len(dists[0])))   # a split's row stays 0
+        value[leaves] = dists
+        return cls(feature, threshold, right, value)
 
     def to_dict(self) -> dict:
         """The nested v1 node document; children follow their parent, so build from the end."""
@@ -345,16 +352,19 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
                       np.concatenate([t.right for t in trees]) + np.repeat(base, size)], axis=1)
     child[leaf] = np.flatnonzero(leaf)[:, None]
     value = np.concatenate([t.value[t.feature < 0] for t in trees])   # leaves' only
+    k = value.shape[1]
+    if k == 1:   # numpy sums one number per tree pairwise: a zero column keeps tree order
+        value = np.column_stack([value, np.zeros(len(value))])
     X = np.ascontiguousarray(X, dtype=np.float64)
     bitvectors = (len(trees) > 1 and np.add.reduceat(leaf, base).max() <= 64
                   and len(X) > np.count_nonzero(~leaf))
     exits = _exit_leaves_by_bitvectors if bitvectors else _exit_leaves_by_descent
     out = np.empty((len(X), value.shape[1]))
     for r, at in exits(feature, threshold, child, before, base, X):
-        # accumulate adds tree after tree; 0 + v is v exactly, as in a running total
-        v = np.take(value, at, axis=0)
-        out[r:r + at.shape[1]] = np.add.accumulate(v, axis=0, out=v)[-1]
-    return out / len(trees)
+        # a reduce over the outer (tree) axis adds tree after tree, as a running
+        # total does, and writes no partial sums
+        np.add.reduce(np.take(value, at, axis=0), axis=0, out=out[r:r + at.shape[1]])
+    return out[:, :k] / len(trees)
 
 
 def _exit_leaves_by_descent(feature, threshold, child, before, base, X):

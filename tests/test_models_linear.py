@@ -9,6 +9,7 @@ from cardiofuse.models import (MODEL_KINDS, AdaBoostClassifier, DivergenceError,
                                LogisticRegressionClassifier, MLPClassifier, ModelError,
                                NotFittedError, ProbabilisticClassifier, ShapeError,
                                SVMClassifier, make_model, model_class)
+from cardiofuse.models import svm as svm_mod
 from cardiofuse.models.base import one_blas_thread
 from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
                                    linear_kernel, platt_prob, rbf_kernel)
@@ -317,6 +318,16 @@ def test_a_document_missing_or_mistyping_a_field_names_its_kind(edit, message):
         ProbabilisticClassifier.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"version": 1}, "model document: no field 'kind'"),
+    ({"version": 1, "kind": 3}, "model document: field 'kind' is 3, not a string"),
+    ({"version": 1, "kind": "KNN"}, "unknown model kind 'KNN'"),
+], ids=["missing", "mistyped", "unknown"])
+def test_a_document_without_a_model_kind_is_refused(doc, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        ProbabilisticClassifier.from_dict(doc)
+
+
 def test_svm_decision_function_refuses_what_it_cannot_score():
     X, y = separable_set(np.random.default_rng(6))
     m = SVMClassifier()
@@ -330,6 +341,30 @@ def test_svm_decision_function_refuses_what_it_cannot_score():
     m.fit(X, np.zeros(len(X), dtype=int))   # a single-class model has no machine
     with pytest.raises(ModelError, match="SVM model has no machine 0; it has 0"):
         m.decision_function(X)
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+def test_svm_scores_a_large_batch_in_blocks_with_the_whole_batch_bits(monkeypatch, kernel):
+    # random labels keep most of 300 rows as support vectors, past the count
+    # where OpenBLAS tiles the last support vectors by 12 rows, not 8
+    rng = np.random.default_rng(14)
+    model = SVMClassifier(kernel=kernel, gamma=0.05).fit(
+        rng.normal(size=(300, 13)), rng.integers(0, 2, 300))
+    m, block = model.machines_[0], svm_mod._BLOCK_ROWS
+    assert len(m["coef"]) > 250 and block % 24 == 0
+    seen, kernel_of = [], svm_mod.KERNELS[kernel]   # rows of each kernel block
+    blocks = lambda A, B, gamma: seen.append(len(A)) or kernel_of(A, B, gamma)
+    X = rng.normal(size=(5 * block // 2 + 5, 13))   # two blocks, a half and a ragged end
+    for rows, sizes in ((X, [block, block, block // 2 + 5]), (X[:block], [block]),
+                        (X[:61], [61]), (X[:1], [1])):
+        with one_blas_thread:
+            whole = model._kernel(rows, m["sv_X"]) @ m["coef"] + m["b"]
+        with monkeypatch.context() as mp:
+            mp.setitem(svm_mod.KERNELS, kernel, blocks)
+            got = model.decision_function(rows)
+        assert seen == sizes
+        assert np.array_equal(got, whole)
+        seen.clear()
 
 
 def test_platt_fit_is_monotone_and_calibrated():

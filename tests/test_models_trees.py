@@ -216,6 +216,29 @@ def _score_by(path, trees, X, batch_words=None):
         return score_forest(trees, X)
 
 
+def test_a_wide_forest_adds_its_trees_in_order():
+    # 200 trees: a fitted forest of three-class leaf frequencies, and one of
+    # hand-made one-class leaves, one number per tree and row, which numpy
+    # would sum pairwise; each on 1 row and on a batch of several chunks
+    rng = np.random.default_rng(21)
+    fitted = RandomForestClassifier(n_estimators=200, max_depth=3, seed=7).fit(
+        *blob_data(rng, n=200, d=4, k=3)).trees_
+    lone = [_random_tree(rng, 8, 4, 1) for _ in range(200)]
+    X = rng.normal(scale=2.0, size=(5 * (tree_mod._BATCH_WORDS // 200) // 2, 4))
+    for trees, k in ((fitted, 3), (lone, 1)):
+        walks = np.array([[_walk(t, x) for x in X] for t in trees]).reshape(200, len(X), k)
+        want = np.zeros((len(X), k))
+        for leaves in walks:   # summed tree after tree, as a running total
+            want += leaves
+        backwards = np.zeros_like(want)
+        for leaves in walks[::-1]:
+            backwards += leaves
+        assert not np.array_equal(backwards, want)   # the order shows in the bits
+        for path in _PATHS:
+            assert np.array_equal(_score_by(path, trees, X), want / 200)
+            assert np.array_equal(_score_by(path, trees, X[:1]), want[:1] / 200)
+
+
 def _random_tree(rng, leaves, d, k):
     """A tree of ``leaves`` leaves in preorder, its splits on thresholds of a coarse grid."""
     nodes = []   # [feature, threshold, right, value]
@@ -317,9 +340,9 @@ def test_tree_document_round_trips_unchanged():
     docs = [dt.to_dict()["params"]["root"]] + rf.to_dict()["params"]["trees"]
     for doc in docs:
         assert Tree.from_dict(doc).to_dict() == doc
-    # and the arrays of random trees survive JSON text bit for bit
-    for leaves in (1, 2, 64, 100):
-        tree = _random_tree(rng, leaves, 4, 3)
+    # and the arrays of fitted and random trees survive JSON text bit for bit
+    trees = [dt.tree_, *rf.trees_, *(_random_tree(rng, m, 4, 3) for m in (1, 2, 64, 100))]
+    for tree in trees:
         back = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
         for a, b in zip(_tree_arrays(back), _tree_arrays(tree)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
