@@ -91,8 +91,11 @@ class GridSearchResult:
 
 def _sweep(d1: np.ndarray, d2: np.ndarray, truth: np.ndarray) -> list[tuple[FusionWeights, float]]:
     """Accuracy at every grid weight. Each point fuses into one reused buffer
-    with the same two products and one add per element as `fuse`."""
+    with the same two products and one add per element as `fuse`. ``truth``,
+    labels in 0..k-1, is cast once to the dtype of `_first_max`'s decisions
+    (bool for two classes), so no point casts its decisions to compare them."""
     fused, part = np.empty_like(d1), np.empty_like(d1)
+    truth = truth.astype(_first_max(d1[:0]).dtype)
     sweep = []
     for w in weight_grid():
         np.multiply(d1, w.w1, out=fused)
@@ -106,7 +109,8 @@ def grid_search(d1: np.ndarray, d2: np.ndarray, truth) -> GridSearchResult:
     """Evaluate every grid weight and return the accuracy-maximizing fusion.
 
     Ties are broken by the earliest grid entry (largest w1). The full sweep
-    of per-weight accuracies is kept for reporting.
+    of per-weight accuracies is kept for reporting. A label outside 0..k-1,
+    for k score columns, is refused, as `metrics.confusion` refuses it.
     """
     d1, d2 = _checked_pair(d1, d2)
     _check_finite(d1, d2)
@@ -115,6 +119,8 @@ def grid_search(d1: np.ndarray, d2: np.ndarray, truth) -> GridSearchResult:
         raise FusionError("truth length does not match score rows")
     if truth.shape[0] == 0:
         raise FusionError("no rows to select weights on")
+    if truth.min() < 0 or truth.max() >= d1.shape[1]:
+        raise FusionError(f"truth labels outside [0, {d1.shape[1]})")
 
     sweep = _sweep(d1, d2, truth)
     weights, best = max(sweep, key=lambda point: point[1])   # the first maximum

@@ -104,7 +104,8 @@ class AdaBoostClassifier(ProbabilisticClassifier):
 
         Each distinct split test ``x[f] <= thr`` is evaluated once per row
         (NaN is not left), and the rows are grouped by their pattern of test
-        outcomes. The stumps are then summed once per pattern present in the
+        outcomes, by integer ids built one byte of the packed pattern at a
+        time. The stumps are then summed once per pattern present in the
         batch: each adds alpha or 0.0 to both class totals of every pattern,
         so every row gets the same additions in the same order as its own
         per-row running sum, and the same bits whatever batch it is in.
@@ -115,14 +116,13 @@ class AdaBoostClassifier(ProbabilisticClassifier):
                 tests.setdefault((f, thr), len(tests))
         feats = np.array([f for f, _ in tests], dtype=np.intp)
         left = X[:, feats] <= np.array([thr for _, thr in tests], dtype=float)
-        if tests:
-            # one fixed-width key per row; the column gather may leave ``left``
-            # in Fortran order, and a void view needs contiguous key bytes
-            packed = np.ascontiguousarray(np.packbits(left, axis=1))
-        else:   # only the no-split stump: every row has the one empty pattern
-            packed = np.zeros((X.shape[0], 1), dtype=np.uint8)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # a row's group is the rank of its outcomes packed 8 to a byte, folded
+        # in one byte column at a time: an id below the row count, times 256,
+        # plus the next byte, ranked again; no test leaves every row in group 0
+        inverse, first = np.zeros(len(X), dtype=np.intp), np.arange(min(len(X), 1))
+        for byte in np.packbits(left, axis=1).T:
+            _, first, inverse = np.unique(inverse * 256 + byte, return_index=True,
+                                          return_inverse=True)
         patterns = left[first]
         F = np.zeros((2, len(first)))
         for (f, thr, lc, rc), alpha in zip(self.stumps_, self.alphas_):

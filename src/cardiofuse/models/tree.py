@@ -14,11 +14,12 @@ A tree is its preorder arrays, so a split's left child is the next node and
 only the right child is stored. ``score_forest`` scores all trees at once from
 one stacked table, by one of two paths chosen from shapes alone. When no tree
 has more than 64 leaves, a batch of more rows than the forest has split nodes
-goes by QuickScorer's bitvectors, one 64-bit word per tree: a per-feature table
-lookup and an AND give each row the exit leaf of every tree at once, from
-tables that cost no more than the batch. Any other batch, DT's one tree, or a
-forest with a tree past 64 leaves, descends all (tree, row) pairs level by
-level. Both paths give the same bits.
+goes by QuickScorer's bitvectors, one 64-bit word per tree: table lookups and
+ANDs give each row the exit leaf of every tree at once, from tables of one row
+per distinct (feature, threshold) that cost no more than the batch, the tables
+of few-valued features joined so that one lookup serves several. Any other
+batch, DT's one tree, or a forest with a tree past 64 leaves, descends all
+(tree, row) pairs level by level. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -334,12 +335,13 @@ def score_forest(trees: list[Tree], X: np.ndarray) -> np.ndarray:
     row) pair; both send a row right where ``~(x <= threshold)``, so NaN goes
     right. A batch with more rows than split nodes, in a forest of trees of at
     most 64 leaves, goes by one-word bitvectors (``_exit_leaves_by_bitvectors``):
-    their tables take at most 8 bytes per (row, tree) pair of the batch, and a
-    row costs one lookup per feature. Any other batch descends level by level
-    (``_exit_leaves_by_descent``), the reference the tests hold the bitvectors
-    to; so does a one-tree forest, whose lone tree the descent walks faster,
-    and a forest with a tree past 64 leaves. Each row adds its trees' leaves in
-    tree order, so both paths give the same bits.
+    their tables, one row per distinct (feature, threshold), take at most 8
+    bytes per (row, tree) pair of the batch, and a row costs one lookup per
+    table, few-valued features sharing joint tables. Any other batch descends
+    level by level (``_exit_leaves_by_descent``), the reference the tests hold
+    the bitvectors to; so does a one-tree forest, whose lone tree the descent
+    walks faster, and a forest with a tree past 64 leaves. Each row adds its
+    trees' leaves in tree order, so both paths give the same bits.
     """
     size = np.array([len(t.feature) for t in trees])
     base = np.cumsum(size) - size
@@ -403,35 +405,46 @@ def _exit_leaves_by_bitvectors(feature, threshold, child, before, base, X):
     split's mask clears the bits of its left subtree's leaves, from its own
     first leaf up to the first leaf of its right child. The AND of the masks of
     every split that sends a row right keeps the row's exit leaf as its lowest
-    set bit. For each feature, that feature's splits sorted by threshold give a
-    table whose row c is the AND of the first c masks; ``searchsorted`` counts
-    the thresholds below x, the splits where ``~(x <= threshold)``, NaN past
-    all of them. A chunk of at most ``_BATCH_WORDS`` words (or one row's) ANDs
-    the table rows its rows pick, one per feature.
+    set bit. Each feature's table has one row per distinct threshold, as
+    RapidScorer (Ye et al., KDD 2018) merges the nodes that share one: row c
+    is the AND of the masks of every split on the c smallest thresholds, and
+    ``searchsorted`` counts the distinct thresholds below x, those where
+    ``~(x <= threshold)``, NaN past all of them. Taken smallest first, each
+    table joins the last joint table while their outer AND, row i * rows_b + j
+    for rows i and j, holds at most ``_BATCH_WORDS`` words, so the few-valued
+    features cost one lookup together. A chunk of at most ``_BATCH_WORDS``
+    words (or one row's) ANDs the table rows its rows pick, one per table.
+    AND is exact, so every exit leaf is the one a walk of its tree reaches.
     """
-    T, (n, d) = len(base), X.shape
+    T, n = len(base), len(X)
     split = np.flatnonzero(feature >= 0)
     tree = np.searchsorted(base, split, side="right") - 1
     first = before[base]   # each tree's first leaf
     lo, hi = before[split] - first[tree], before[child[split, 1]] - first[tree]
     masks = ~(_LOW_BITS[hi] ^ _LOW_BITS[lo])
-    order = np.lexsort((threshold[split], feature[split]))
-    bounds = np.searchsorted(feature[split][order], np.arange(d + 1))
     ones = np.iinfo(np.uint64).max
     lookups = []   # (table, table row of every row of X) per feature with splits
-    for j, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if s == e:
-            continue
-        i = order[s:e]
-        table = np.full((e - s + 1, T), ones, dtype=np.uint64)
-        table[np.arange(1, e - s + 1), tree[i]] = masks[i]
+    for j in np.unique(feature[split]):
+        on = feature[split] == j
+        cuts, at = np.unique(threshold[split[on]], return_inverse=True)
+        table = np.full((len(cuts) + 1, T), ones, dtype=np.uint64)
+        np.bitwise_and.at(table, (at + 1, tree[on]), masks[on])   # equal cuts share a row
         np.bitwise_and.accumulate(table, axis=0, out=table)
-        lookups.append((table, np.searchsorted(threshold[split[i]], X[:, j])))
+        lookups.append((table, np.searchsorted(cuts, X[:, j])))
+    # the smallest tables first; each joins the last joint table while the
+    # outer AND of the two holds at most _BATCH_WORDS words
+    lookups.sort(key=lambda lookup: len(lookup[0]))
+    joined = []
+    for table, rows in lookups:
+        if joined and len(joined[-1][0]) * len(table) * T <= _BATCH_WORDS:
+            other, at = joined.pop()
+            table, rows = (other[:, None] & table).reshape(-1, T), at * len(table) + rows
+        joined.append((table, rows))
     step = max(1, _BATCH_WORDS // T)   # rows per chunk
     for r in range(0, n, step):
         b = min(step, n - r)
         bits = np.full((b, T), ones, dtype=np.uint64)
-        for table, rows in lookups:
+        for table, rows in joined:
             bits &= table[rows[r:r + b]]
         # the lowest set bit, a power of two that float64 holds exactly:
         # frexp gives its exponent plus one

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cardiofuse.fusion import (FusionError, FusionWeights, decide, fuse,
+from cardiofuse.fusion import (FusionError, FusionWeights, _sweep, decide, fuse,
                                grid_search, weight_grid)
 
 
@@ -131,3 +131,27 @@ def test_non_finite_scores_are_rejected(bad):
 def test_grid_search_needs_rows():
     with pytest.raises(FusionError, match="no rows"):
         grid_search(np.zeros((0, 2)), np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_sweep_equals_fuse_and_decide_where_columns_tie(k):
+    rng = np.random.default_rng(k)
+    n = 400
+    d1, d2 = rng.integers(0, 4, size=(2, n, k)) / 4.0   # a few values, so columns tie
+    d1[:40], d2[:40] = d1[:40, :1], d2[:40, :1]   # every column of these rows ties at any weight
+    d1[40:80, -1], d2[40:80, -1] = d1[40:80, 0], d2[40:80, 0]   # the first and last tie
+    truth = rng.integers(0, k, n)
+    want = []
+    for w in weight_grid():
+        fused = fuse(d1, d2, w).scores
+        assert (fused[:80, -1] == fused[:80, 0]).all()
+        want.append((w, np.count_nonzero(decide(fused) == truth) / n))
+    assert _sweep(d1, d2, truth) == want
+    assert grid_search(d1, d2, truth).sweep == want
+
+
+@pytest.mark.parametrize("k, label", [(2, -1), (2, 2), (5, 5), (5, -3)])
+def test_grid_search_refuses_a_label_outside_its_classes(k, label):
+    d = np.full((3, k), 1.0 / k)
+    with pytest.raises(FusionError, match=rf"truth labels outside \[0, {k}\)"):
+        grid_search(d, d, [0, label, 1])

@@ -388,6 +388,33 @@ def test_vote_totals_equal_the_loop_on_random_stumps(seed, d, n_tests, extra, de
     assert np.array_equal(alone, F)
 
 
+def _vote_totals_by_row(model, X):
+    """Each row's own running sum: every stump adds its alpha to the class it votes for."""
+    F = np.zeros((len(X), 2))
+    for i, x in enumerate(X):
+        for (f, thr, lc, rc), alpha in zip(model.stumps_, model.alphas_):
+            F[i, lc if f >= 0 and x[f] <= thr else rc] += alpha
+    return F
+
+
+def test_vote_totals_group_rows_by_keys_of_several_bytes():
+    # 20 distinct tests: each row's outcomes pack into 3 bytes, and the rows
+    # include ones that share a first byte but not the key, and the reverse
+    rng = np.random.default_rng(12)
+    m = AdaBoostClassifier()
+    m.stumps_, m.alphas_ = _random_stumps(rng, 4, 20, 120, 0.05)
+    X = rng.choice(_GRID, size=(600, 4))
+    X[::9, 2] = np.nan   # NaN fails x <= threshold and votes right
+    tests = list(dict.fromkeys(s[:2] for s in m.stumps_ if s[0] >= 0))
+    keys = np.packbits(np.column_stack([X[:, f] <= t for f, t in tests]), axis=1)
+    assert len(tests) == 20 and keys.shape[1] == 3
+    whole, head, tail = (len(np.unique(a, axis=0)) for a in (keys, keys[:, :1], keys[:, 1:]))
+    assert head < whole and tail < whole
+    F = m.vote_totals(X)
+    assert np.array_equal(F, _vote_totals_by_row(m, X))
+    assert np.array_equal(F[5:6], m.vote_totals(X[5:6]))
+
+
 def test_pipeline_ada_scores_a_cohort_as_the_loop(monkeypatch):
     """The master-seed-0 binary 80:20 ADA, its 200 stumps on a few distinct tests,
     scores a 20,000-row resample of the bundled table as the per-stump loop does."""

@@ -266,6 +266,11 @@ def _random_tree(rng, leaves, d, k):
 @example(seed=0, leaves=[64, 1, 33], n=30, d=3, k=2, chunk=7)   # a full word, a one-leaf tree
 @example(seed=1, leaves=[1, 1], n=1, d=2, k=2, chunk=1)   # no split at all
 @example(seed=2, leaves=[64, 64], n=0, d=2, k=3, chunk=None)
+# 12 features with 1 to 7 distinct thresholds: joint tables hold at most 7 rows
+# at chunk 7, so two pairs of small tables join and the rest stay alone, and
+# at chunk None they all join, into tables of 8 and of 4 features
+@example(seed=0, leaves=[40, 6, 2], n=30, d=12, k=2, chunk=7)
+@example(seed=0, leaves=[40, 6, 2], n=30, d=12, k=2, chunk=None)
 def test_bitvectors_equal_a_walk_of_each_tree_bit_for_bit(seed, leaves, n, d, k, chunk):
     rng = np.random.default_rng(seed)
     trees = [_random_tree(rng, m, d, k) for m in leaves]

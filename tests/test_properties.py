@@ -4,6 +4,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from cardiofuse.dataset import (DataTable, ParseError, SchemaViolation, bundled_
 from cardiofuse.fusion import decide, fuse, grid_search, weight_grid
 from cardiofuse.metrics import confusion, roc_auc
 from cardiofuse.models import MODEL_KINDS, ProbabilisticClassifier, make_model
+from cardiofuse.models import tree as tree_mod
 from cardiofuse.preprocess import SplitSpec, random_oversample, split
 
 # small settings so that each example fits in milliseconds
@@ -39,6 +41,36 @@ def test_document_round_trip_reproduces_scores_exactly(kind, seed, n, d, k, ties
     clone = ProbabilisticClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
     Xq = np.vstack([X, rng.normal(size=(5, d))])
     assert np.array_equal(clone.predict_proba(Xq), model.predict_proba(Xq))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["DT", "RF", "ADA"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(2, 40), k=st.sampled_from([2, 5]), ties=st.booleans())
+def test_tree_scores_do_not_depend_on_the_batch(kind, seed, n, k, ties):
+    """DT, RF and ADA score each row with the same bits alone, in a random
+    subset and in the whole batch; a forest takes the bitvector path on the
+    whole batch, which has more rows than the forest has splits."""
+    k = 2 if kind == "ADA" else k
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 4))
+    y = rng.integers(0, k, n)
+    Xq = np.vstack([X, rng.normal(size=(200 - n, 4))])
+    if ties:   # rows on the training values, so rows meet thresholds and repeat
+        X, Xq = np.round(X), np.round(Xq)
+    model = make_model(kind, **_SMALL[kind]).fit(X, y)
+    paths = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_exit_leaves_by_descent", "_exit_leaves_by_bitvectors"):
+            path = getattr(tree_mod, name)
+            mp.setattr(tree_mod, name,
+                       lambda *a, path=path, name=name: paths.append(name) or path(*a))
+        whole = model.predict_proba(Xq)
+    if kind == "RF":
+        assert paths == ["_exit_leaves_by_bitvectors"]
+    subset = rng.choice(len(Xq), size=int(rng.integers(1, len(Xq))), replace=False)
+    assert np.array_equal(model.predict_proba(Xq[subset]), whole[subset])
+    alone = np.vstack([model.predict_proba(Xq[i:i + 1]) for i in range(len(Xq))])
+    assert np.array_equal(alone, whole)
 
 
 def _id_table(labels):
