@@ -140,3 +140,9 @@ class AdaBoostClassifier(ProbabilisticClassifier):
     def _state_from_dict(self, doc):
         self.stumps_ = [tuple(s) for s in doc["stumps"]]
         self.alphas_ = [float(a) for a in doc["alphas"]]
+        if len(self.alphas_) != len(self.stumps_):
+            raise ValueError(f"{len(self.alphas_)} 'alphas' for {len(self.stumps_)} 'stumps'")
+        for f, _, lc, rc in self.stumps_:   # a feature, or -1 for no split, and two classes
+            if not (-1 <= f < self.n_features_ and {lc, rc} <= {0, 1}):
+                raise ValueError(f"field 'stumps' holds ({f}, {lc}, {rc}), not a stump of "
+                                 f"{self.n_features_} features and two classes")

@@ -240,6 +240,15 @@ class ProbabilisticClassifier:
         return model
 
 
+def shaped(values, shape: tuple, field: str) -> np.ndarray:
+    """``values`` as a float64 array of ``shape``, an empty list as an empty
+    one; a ValueError names ``field`` when its shape is another."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.shape != shape and not (a.size == 0 and 0 in shape):
+        raise ValueError(f"field '{field}' has shape {a.shape}, not {shape}")
+    return a.reshape(shape)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function; z is clipped to +-500 so exp cannot overflow."""
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))

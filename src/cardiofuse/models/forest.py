@@ -51,4 +51,5 @@ class RandomForestClassifier(ProbabilisticClassifier):
         return {"trees": [t.to_dict() for t in self.trees_]}
 
     def _state_from_dict(self, doc):
-        self.trees_ = [Tree.from_dict(t) for t in doc["trees"]]
+        d, k = self.n_features_, self.class_count_
+        self.trees_ = [Tree.from_dict(t, d, k) for t in doc["trees"]]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DivergenceError, ProbabilisticClassifier, one_hot, sigmoid, softmax
+from .base import DivergenceError, ProbabilisticClassifier, one_hot, shaped, sigmoid, softmax
 
 
 class LogisticRegressionClassifier(ProbabilisticClassifier):
@@ -59,5 +59,6 @@ class LogisticRegressionClassifier(ProbabilisticClassifier):
         return {"w": np.asarray(self.w_).tolist(), "b": np.asarray(self.b_).tolist()}
 
     def _state_from_dict(self, doc):
-        self.w_ = np.asarray(doc["w"], dtype=np.float64)
-        self.b_ = np.asarray(doc["b"], dtype=np.float64)
+        out = () if self.class_count_ == 2 else (self.class_count_,)   # as _fit makes them
+        self.w_ = shaped(doc["w"], (self.n_features_, *out), "w")
+        self.b_ = shaped(doc["b"], out, "b")

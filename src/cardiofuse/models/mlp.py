@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import DivergenceError, ProbabilisticClassifier, one_hot, sigmoid, softmax
+from .base import DivergenceError, ProbabilisticClassifier, one_hot, shaped, sigmoid, softmax
 
 
 class MLPClassifier(ProbabilisticClassifier):
@@ -93,5 +93,6 @@ class MLPClassifier(ProbabilisticClassifier):
         return {name: getattr(self, name).tolist() for name in ("W1", "b1", "W2", "b2")}
 
     def _state_from_dict(self, doc):
-        for name in ("W1", "b1", "W2", "b2"):
-            setattr(self, name, np.asarray(doc[name], dtype=np.float64))
+        d, h, k = self.n_features_, self.hidden_units, self.class_count_
+        for name, shape in (("W1", (d, h)), ("b1", (h,)), ("W2", (h, k)), ("b2", (k,))):
+            setattr(self, name, shaped(doc[name], shape, name))

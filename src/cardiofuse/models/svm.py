@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .base import (ModelError, NotFittedError, ProbabilisticClassifier, one_blas_thread,
-                   sigmoid)
+                   shaped, sigmoid)
 
 # rows per kernel block. OpenBLAS tiles GEMM rows by 8, and by 12 against the
 # last few support vectors, and computes remainder rows with another kernel;
@@ -254,10 +254,14 @@ class SVMClassifier(ProbabilisticClassifier):
         }
 
     def _state_from_dict(self, doc):
-        self.single_class_ = doc["single_class"]
-        self.machines_ = [{
+        self.single_class_, k, machines = doc["single_class"], self.class_count_, doc["machines"]
+        count = 0 if self.single_class_ is not None else 1 if k == 2 else k   # as _fit makes
+        if len(machines) != count:
+            raise ValueError(f"field 'machines' holds {len(machines)} machines, not {count}")
+        self.machines_ = []
+        for m in machines:
+            coef = shaped(m["coef"], (len(m["coef"]),), "coef")
             # (0, d) when a machine keeps no support vector, e.g. its class had no rows
-            "sv_X": np.asarray(m["sv_X"], dtype=np.float64).reshape(-1, self.n_features_),
-            "coef": np.asarray(m["coef"], dtype=np.float64),
-            "b": m["b"], "A": m["A"], "B": m["B"],
-        } for m in doc["machines"]]
+            sv_X = shaped(m["sv_X"], (len(coef), self.n_features_), "sv_X")
+            self.machines_.append({"sv_X": sv_X, "coef": coef,
+                                   "b": m["b"], "A": m["A"], "B": m["B"]})

@@ -6,9 +6,9 @@ split partitions that slice in place, and each tree's depth-first stack is a
 column of one array that holds only nodes that can split (a tree of n distinct
 rows has at most n - 1), so a step handles the next such node of every tree
 with array operations and one segmented scan, and a leaf is settled when its
-parent splits. The "best" splitter scans every midpoint between distinct values
-of the candidate features; the "random" splitter draws one uniform threshold
-per candidate feature. Leaves store class frequencies.
+parent splits. Each split's candidate features are a uniform random subset; the
+"best" splitter scans every midpoint between their distinct values, the "random"
+one draws one uniform threshold per candidate. Leaves store class frequencies.
 
 A tree is its preorder arrays, so a split's left child is the next node and
 only the right child is stored. ``score_forest`` scores all trees at once from
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ProbabilisticClassifier
+from .base import ProbabilisticClassifier, shaped
 
 
 def _impurity_rows(counts: np.ndarray, n: np.ndarray, criterion: str) -> np.ndarray:
@@ -66,7 +66,7 @@ class Tree:
         self.value = np.asarray(value, dtype=np.float64)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Tree":
+    def from_dict(cls, doc: dict, n_features: int, k: int) -> "Tree":
         """Lay out a nested node document in preorder, left before right, in one walk."""
         feature, threshold, right, leaves, dists = [], [], [], [], []
         stack = [(doc, -1)]   # (node, split whose right child it is)
@@ -85,9 +85,12 @@ class Tree:
                 feature.append(node["feature"])
                 threshold.append(node["threshold"])
                 stack += [(node["right"], i), (node["left"], -1)]
-        value = np.zeros((len(right), len(dists[0])))   # a split's row stays 0
-        value[leaves] = dists
-        return cls(feature, threshold, right, value)
+        value = np.zeros((len(right), k))   # a split's row stays 0
+        value[leaves] = shaped(dists, (len(leaves), k), "dist")
+        tree = cls(feature, threshold, right, value)
+        if ((tree.feature < 0) | (tree.feature >= n_features))[tree.right >= 0].any():
+            raise ValueError(f"field 'feature' of a split is not in 0..{n_features - 1}")
+        return tree
 
     def to_dict(self) -> dict:
         """The nested v1 node document; children follow their parent, so build from the end."""
@@ -112,30 +115,6 @@ _BATCH_WORDS = 32768
 
 # 2**a - 1 at index a: the low a bits of a 64-bit word, for a in 0..64
 _LOW_BITS = np.array([(1 << a) - 1 for a in range(65)], dtype=np.uint64)
-
-
-def _choice_draws(rng, d, m, count):
-    """The integers that ``count`` successive ``rng.choice(d, m, replace=False)`` calls read.
-
-    ``choice`` takes Floyd's sample with one integer below j + 1 for each j in
-    d-m .. d-1, then shuffles it with one below i + 1 for each i in m-1 .. 1.
-    One ``integers`` call with those bounds reads the stream alike, so the
-    generator state matches; a test pins this on the installed numpy.
-    """
-    high = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
-    return rng.integers(0, np.tile(high, count)).reshape(count, max(2 * m - 1, 0))
-
-
-def _floyd(draw, d, m):
-    """The ``choice(d, m, replace=False)`` sample of each row of ``_choice_draws``."""
-    out = np.empty((len(draw), m), dtype=draw.dtype)
-    for t in range(m):   # Floyd's sampler: a draw already taken becomes d - m + t
-        taken = (out[:, :t] == draw[:, t:t + 1]).any(axis=1)
-        out[:, t] = np.where(taken, d - m + t, draw[:, t])
-    every = np.arange(len(draw))
-    for i, j in zip(range(m - 1, 0, -1), draw[:, m:].T):   # swap column i with column j
-        out[every, j], out[:, i] = out[:, i].copy(), out[every, j]
-    return out
 
 
 def _split_segments(X, y, R, rows, wts, nseg, counts, cand, criterion, min_leaf, rngs=None):
@@ -221,11 +200,13 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
     every split node's slice in place, left rows first, and one weighted
     ``bincount`` of the children's classes. A node with no valid cut is a leaf,
     and children that can split are pushed, right before left. A node's
-    candidates are its tree's next ``rng.choice``: drawn after the root rows
-    for the at most n - 1 nodes that can split in a tree of n pairs (best
-    splitter), or node by node before its thresholds (random), so each tree
-    reads its stream as if grown alone. Preorder positions are laid out at the
-    end. ``max_features`` None draws round(sqrt(d)) candidates.
+    candidates are a uniform random subset of the features: for the best
+    splitter, the first m of a ranking of all d that one ``rng.random`` call
+    after the root rows makes for each of the at most n - 1 nodes that can
+    split in a tree of n pairs, taken in pop order; for the random splitter,
+    its tree's next ``rng.choice``. Each tree reads its stream as if grown
+    alone. Preorder positions are laid out at the end. ``max_features`` None
+    draws m = round(sqrt(d)) candidates.
     """
     d = X.shape[1]
     m = min(int(round(np.sqrt(d))) if max_features is None else max_features, d)
@@ -234,16 +215,16 @@ def grow_forest(X, y, k, roots, rngs, criterion, max_depth, max_features, min_le
     X, y = Xy[:, :-1], Xy[:, -1].astype(np.int64)
     R = np.column_stack([np.unique(c, return_inverse=True)[1] for c in X.T]).astype(
         np.min_scalar_type(len(X)))   # dense ranks, in the split scan's smallest key dtype
-    buf, wbuf, draws = [], [], []
+    buf, wbuf, pools = [], [], []
     for r, rng in zip(roots, rngs):
         w = np.bincount(group[r], minlength=len(X))
         buf.append(np.flatnonzero(w).astype(np.int32))
         wbuf.append(w[buf[-1]].astype(np.int32))
         count = max(len(buf[-1]) - 1, 0) if splitter == "best" else 0
-        draws.append(_choice_draws(rng, d, m, count).astype(np.min_scalar_type(d)))
-    nxt = np.cumsum([0] + [len(p) for p in draws])[:-1]   # each tree's next draw in the pool
-    pools, nroot = _floyd(np.concatenate(draws), d, m), np.array([len(b) for b in buf])
-    del draws
+        pools.append(rng.random((count, d)).argsort(axis=1, kind="stable")[:, :m].astype(
+            np.min_scalar_type(d)))
+    nxt = np.cumsum([0] + [len(p) for p in pools])[:-1]   # each tree's next set in the pool
+    pools, nroot = np.concatenate(pools), np.array([len(b) for b in buf])
     T, end, buf, wbuf = len(nroot), np.cumsum(nroot), np.concatenate(buf), np.concatenate(wbuf)
     # node t is tree t's root, split j's children are nodes T + 2j (right) and T + 2j + 1
     # (left). Records: each split's (node, feature, threshold), each leaf's (node, counts)
@@ -481,4 +462,4 @@ class DecisionTreeClassifier(ProbabilisticClassifier):
         return {"root": self.tree_.to_dict()}
 
     def _state_from_dict(self, doc):
-        self.tree_ = Tree.from_dict(doc["root"])
+        self.tree_ = Tree.from_dict(doc["root"], self.n_features_, self.class_count_)

@@ -318,6 +318,69 @@ def test_a_document_missing_or_mistyping_a_field_names_its_kind(edit, message):
         ProbabilisticClassifier.from_dict(doc)
 
 
+def _leaves(node):
+    """The leaves of a nested tree document, left to right."""
+    return [node] if "dist" in node else _leaves(node["left"]) + _leaves(node["right"])
+
+
+def _set_leaves(root, dist):
+    for leaf in _leaves(root):
+        leaf["dist"] = dist(leaf["dist"])
+
+
+# kind, class count, settings, the edit of its document, the start of the refusal
+_MISFIT_STATE = {
+    "DT-feature-negative": ("DT", 2, {"splitter": "best"},
+                            lambda d: d["params"]["root"].update(feature=-2),
+                            "field 'feature' of a split is not in 0..2"),
+    "DT-feature-past-width": ("DT", 2, {"splitter": "best"},
+                              lambda d: d["params"]["root"].update(feature=3),
+                              "field 'feature' of a split is not in 0..2"),
+    "DT-dist": ("DT", 2, {}, lambda d: _set_leaves(d["params"]["root"], lambda v: v[:1]),
+                "field 'dist' has shape"),
+    "RF-feature": ("RF", 2, {"n_estimators": 3},
+                   lambda d: d["params"]["trees"][1].update(feature=-2),
+                   "field 'feature' of a split is not in 0..2"),
+    "RF-dist": ("RF", 3, {"n_estimators": 3},
+                lambda d: _set_leaves(d["params"]["trees"][2], lambda v: v + [0.0]),
+                "field 'dist' has shape"),
+    "SVM-sv_X": ("SVM", 2, {}, lambda d: d["params"]["machines"][0]["sv_X"].pop(),
+                 "field 'sv_X' has shape"),
+    "SVM-n_features": ("SVM", 2, {}, lambda d: d.update(n_features=2), "field 'sv_X' has shape"),
+    "SVM-machines": ("SVM", 3, {}, lambda d: d["params"]["machines"].pop(),
+                     "field 'machines' holds 2 machines, not 3"),
+    "LR-w": ("LR", 2, {}, lambda d: d["params"]["w"].pop(), "field 'w' has shape (2,), not (3,)"),
+    "LR-b": ("LR", 3, {}, lambda d: d["params"]["b"].pop(), "field 'b' has shape (2,), not (3,)"),
+    "ANN-W1": ("ANN", 2, {"epochs": 2}, lambda d: d["params"]["W1"].pop(),
+               "field 'W1' has shape (2, 8), not (3, 8)"),
+    "ANN-hidden_units": ("ANN", 2, {"epochs": 2}, lambda d: d["params"].update(hidden_units=4),
+                         "field 'W1' has shape (3, 8), not (3, 4)"),
+    "ANN-b2": ("ANN", 3, {"epochs": 2}, lambda d: d["params"]["b2"].pop(),
+               "field 'b2' has shape (2,), not (3,)"),
+    "ADA-stumps": ("ADA", 2, {"n_estimators": 5},
+                   lambda d: d["params"]["stumps"][0].__setitem__(0, 3),
+                   "field 'stumps' holds (3, "),
+    "ADA-alphas": ("ADA", 2, {"n_estimators": 5}, lambda d: d["params"]["alphas"].pop(),
+                   "4 'alphas' for 5 'stumps'"),
+}
+
+
+@pytest.mark.parametrize("case", _MISFIT_STATE)
+def test_a_document_whose_state_does_not_fit_its_shape_is_refused(case):
+    # fitted state must fit n_features, class_count and the settings: a split
+    # on a feature the rows lack, a leaf or weight of another length, a machine
+    # too few; each is refused on load with the kind, not met while scoring
+    kind, k, settings, edit, message = _MISFIT_STATE[case]
+    rng = np.random.default_rng(28)
+    X = rng.normal(size=(60, 3))
+    y = ((X[:, 0] > 0) + (X[:, 1] > 0.5) * (k - 2) + (rng.random(60) < 0.1)) % k   # some noise
+    doc = json.loads(json.dumps(make_model(kind, **settings).fit(X, y).to_dict()))
+    assert ProbabilisticClassifier.from_dict(doc).predict_proba(X).shape == (60, k)
+    edit(doc)
+    with pytest.raises(ModelError, match=re.escape(f"{kind} model document: {message}")):
+        ProbabilisticClassifier.from_dict(doc)
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"version": 1}, "model document: no field 'kind'"),
     ({"version": 1, "kind": 3}, "model document: field 'kind' is 3, not a string"),
