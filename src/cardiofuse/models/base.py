@@ -3,7 +3,8 @@
 Every learner fits on a feature matrix with labels 0..k-1 and scores rows
 into an (n, k) matrix of probabilities whose rows sum to 1. A label outside
 0..k-1, a non-finite feature value or a non-finite score is a ``ModelError``.
-Fits and scores run on one BLAS thread (``one_blas_thread``).
+Fits and scores run on one BLAS thread (``one_blas_thread``); a process
+that imports cardiofuse before numpy starts OpenBLAS on one thread too.
 """
 
 from __future__ import annotations
@@ -35,15 +36,17 @@ SERIAL_VERSION = 1
 
 # thread-count entry points of the OpenBLAS builds numpy ships or links:
 # numpy 2 wheels (64-bit integers), scipy-openblas with 32-bit integers,
-# numpy 1.22-1.26 wheels (64-bit integers), plain OpenBLAS
+# numpy 1.22-1.26 wheels (64-bit integers), plain OpenBLAS. Each family
+# names its kernel by the get entry point with corename for num_threads
 _OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                           "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 @functools.cache
-def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None where there is none (not Linux, MKL, Accelerate)."""
+def _openblas_library():
+    """The OpenBLAS mapped into this process, as a ctypes library that
+    exports the thread-count calls, or None where there is none (not Linux,
+    MKL, Accelerate)."""
     import ctypes
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -54,12 +57,20 @@ def _find_openblas():
                           if len(f) == 6 and "openblas" in f[5])
     for path in paths:
         try:
-            calls = _thread_calls(ctypes.CDLL(path))
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if calls is not None:
-            return calls
+        if _thread_calls(lib) is not None:
+            return lib
     return None
+
+
+@functools.cache
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS mapped into this
+    process, or None where there is none."""
+    lib = _openblas_library()
+    return None if lib is None else _thread_calls(lib)
 
 
 def _thread_calls(lib):
@@ -77,6 +88,26 @@ def _thread_calls(lib):
     return None
 
 
+def blas_corename():
+    """The name of the kernel the OpenBLAS in this process runs, such as
+    ``"SkylakeX"``, or None where there is no OpenBLAS. A ``DYNAMIC_ARCH``
+    build picks the kernel from the CPU when it loads, and
+    ``OPENBLAS_CORETYPE`` overrides the pick; the last bits of a product
+    can differ from kernel to kernel."""
+    import ctypes
+    lib = _openblas_library()
+    if lib is None:
+        return None
+    for name in _OPENBLAS_THREAD_CALLS:
+        try:
+            get = getattr(lib, name.format("get").replace("num_threads", "corename"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_char_p
+        return get().decode()
+    return None
+
+
 class _OneBlasThread:
     """Context manager that runs its body on one OpenBLAS thread.
 
@@ -87,6 +118,9 @@ class _OneBlasThread:
     every product's partial sums, so fits and scores give the same bytes
     whatever the caller's thread count, and no idle OpenBLAS worker
     busy-waits beside the numpy-only fits that follow a threaded call.
+    Importing cardiofuse before numpy starts OpenBLAS on one thread, so there
+    the scope finds 1 and keeps it; it matters where numpy loaded first with
+    more threads (a notebook, a test run) or the caller raised the count.
     OpenBLAS is looked up at the first entry, not at import. Without it the
     scope does nothing.
     """

@@ -255,6 +255,10 @@ class SVMClassifier(ProbabilisticClassifier):
 
     def _state_from_dict(self, doc):
         self.single_class_, k, machines = doc["single_class"], self.class_count_, doc["machines"]
+        if self.single_class_ is not None and (type(self.single_class_) is not int
+                                               or not 0 <= self.single_class_ < k):
+            raise ValueError(f"field 'single_class' is {self.single_class_!r}, "
+                             f"not a class in 0..{k - 1}")
         count = 0 if self.single_class_ is not None else 1 if k == 2 else k   # as _fit makes
         if len(machines) != count:
             raise ValueError(f"field 'machines' holds {len(machines)} machines, not {count}")

@@ -85,6 +85,10 @@ class Tree:
                 feature.append(node["feature"])
                 threshold.append(node["threshold"])
                 stack += [(node["right"], i), (node["left"], -1)]
+        # an int64 array would read 0.7 as feature 0 and "1" as feature 1
+        mistyped = [f for f in feature if type(f) is not int]
+        if mistyped:
+            raise ValueError(f"field 'feature' of a split is {mistyped[0]!r}, not an integer")
         value = np.zeros((len(right), k))   # a split's row stays 0
         value[leaves] = shaped(dists, (len(leaves), k), "dist")
         tree = cls(feature, threshold, right, value)

@@ -1,6 +1,8 @@
-"""Fits and scores run on one OpenBLAS thread and hand the caller's count back."""
+"""Fits and scores run on one OpenBLAS thread and hand the caller's count back;
+a process that imports cardiofuse before numpy starts OpenBLAS on one thread."""
 
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -158,6 +160,96 @@ def test_many_threads_entering_and_leaving_keep_the_count(blas_threads):
     assert blas_threads() == 2
 
 
+# the variables OpenBLAS reads its start-up thread count from, in its order
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_SRC = str(Path(cardiofuse.__file__).resolve().parent.parent)
+
+
+def _child_env(**variables):
+    """This process's environment without the thread variables, with
+    cardiofuse's sources on the path and ``variables`` set."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return {**env, **variables}
+
+
+_START_SCRIPT = """
+import json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import cardiofuse
+from cardiofuse.models import base
+print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
+                  "count": base._find_openblas()[0](),
+                  "env": [os.environ.get(v) for v in %r]}))
+""" % (_THREAD_VARIABLES,)
+
+
+def _start(first="cardiofuse", **variables):
+    """Threads, OpenBLAS thread count and thread variables of a fresh
+    interpreter that imports ``first`` first, then cardiofuse."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("threads are counted in /proc/self/task")
+    if base._find_openblas() is None:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    out = subprocess.run([sys.executable, "-c", _START_SCRIPT, first], env=_child_env(**variables),
+                         check=True, timeout=120, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_importing_cardiofuse_first_starts_openblas_on_one_thread():
+    # no worker pool: the main thread is the process's only thread
+    assert _start() == {"tasks": 1, "count": 1, "env": ["1", None, None]}
+
+
+@pytest.mark.parametrize("variable", _THREAD_VARIABLES)
+def test_a_thread_variable_of_the_user_is_kept(variable):
+    seen = _start(**{variable: "2"})
+    assert seen["env"] == [("2" if v == variable else None) for v in _THREAD_VARIABLES]
+    # OpenBLAS starts no more threads than the process may run on
+    assert seen["count"] == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_importing_numpy_first_leaves_the_environment_alone():
+    seen = _start("numpy-first")
+    assert seen["env"] == [None, None, None]
+    assert seen["count"] == seen["tasks"]   # the main thread and count - 1 OpenBLAS workers
+
+
+@pytest.mark.parametrize("name", ["scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                                  "openblas_get_corename64_", "openblas_get_corename"])
+def test_corename_is_found_under_each_openblas_name(monkeypatch, name):
+    def corename():
+        return b"Haswell"
+
+    lib = types.SimpleNamespace(**{name: corename})
+    monkeypatch.setattr(base, "_openblas_library", lambda: lib)
+    assert base.blas_corename() == "Haswell"
+    assert (corename.argtypes, corename.restype) == ([], ctypes.c_char_p)
+    monkeypatch.setattr(base, "_openblas_library", lambda: types.SimpleNamespace())
+    assert base.blas_corename() is None
+    monkeypatch.setattr(base, "_openblas_library", lambda: None)
+    assert base.blas_corename() is None
+
+
+# kernels of CPUs with AVX, each of which can run the Sandybridge kernel
+_AVX_KERNELS = {"Sandybridge", "Haswell", "Zen", "SkylakeX", "Cooperlake", "SapphireRapids"}
+
+
+def test_corename_names_the_kernel_openblas_runs():
+    if base._find_openblas() is None:
+        pytest.skip("no OpenBLAS is loaded in this process")
+    native = base.blas_corename()
+    assert isinstance(native, str) and native
+    if native not in _AVX_KERNELS:
+        pytest.skip(f"OpenBLAS runs {native}, which may not run the Sandybridge kernel")
+    script = "from cardiofuse.models import base; print(base.blas_corename())"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=_child_env(OPENBLAS_CORETYPE="Sandybridge"),
+                         check=True, timeout=120, capture_output=True, text=True).stdout
+    assert out.split() == ["Sandybridge"]
+
+
 _REPORT_SCRIPT = """
 import sys
 from cardiofuse import pipeline
@@ -169,14 +261,13 @@ pipeline.emit_report(pipeline.run_experiment(config), sys.argv[1])
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # multiclass 70:30 at master seed 2 is the desk report whose SVM scores
-    # moved with the thread count before fits ran on one thread
-    src = str(Path(cardiofuse.__file__).resolve().parent.parent)
+    # moved with the thread count before fits ran on one thread; the child
+    # with no thread variable starts OpenBLAS on one thread
     blobs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", None):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env(**({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
         subprocess.run([sys.executable, "-c", _REPORT_SCRIPT, str(out)], env=env,
                        check=True, timeout=300)
         blobs.append((out / "report.json").read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]

@@ -341,6 +341,12 @@ _MISFIT_STATE = {
     "RF-feature": ("RF", 2, {"n_estimators": 3},
                    lambda d: d["params"]["trees"][1].update(feature=-2),
                    "field 'feature' of a split is not in 0..2"),
+    "DT-feature-fraction": ("DT", 2, {"splitter": "best"},
+                            lambda d: d["params"]["root"].update(feature=0.7),
+                            "field 'feature' of a split is 0.7, not an integer"),
+    "RF-feature-fraction": ("RF", 2, {"n_estimators": 3},
+                            lambda d: d["params"]["trees"][2].update(feature=0.7),
+                            "field 'feature' of a split is 0.7, not an integer"),
     "RF-dist": ("RF", 3, {"n_estimators": 3},
                 lambda d: _set_leaves(d["params"]["trees"][2], lambda v: v + [0.0]),
                 "field 'dist' has shape"),
@@ -349,6 +355,8 @@ _MISFIT_STATE = {
     "SVM-n_features": ("SVM", 2, {}, lambda d: d.update(n_features=2), "field 'sv_X' has shape"),
     "SVM-machines": ("SVM", 3, {}, lambda d: d["params"]["machines"].pop(),
                      "field 'machines' holds 2 machines, not 3"),
+    "SVM-single_class": ("SVM", 2, {}, lambda d: d["params"].update(single_class=5, machines=[]),
+                         "field 'single_class' is 5, not a class in 0..1"),
     "LR-w": ("LR", 2, {}, lambda d: d["params"]["w"].pop(), "field 'w' has shape (2,), not (3,)"),
     "LR-b": ("LR", 3, {}, lambda d: d["params"]["b"].pop(), "field 'b' has shape (2,), not (3,)"),
     "ANN-W1": ("ANN", 2, {"epochs": 2}, lambda d: d["params"]["W1"].pop(),
@@ -368,8 +376,9 @@ _MISFIT_STATE = {
 @pytest.mark.parametrize("case", _MISFIT_STATE)
 def test_a_document_whose_state_does_not_fit_its_shape_is_refused(case):
     # fitted state must fit n_features, class_count and the settings: a split
-    # on a feature the rows lack, a leaf or weight of another length, a machine
-    # too few; each is refused on load with the kind, not met while scoring
+    # on a feature the rows lack or on a fraction of one, a leaf or weight of
+    # another length, a machine too few, a single class the model lacks; each
+    # is refused on load with the kind, not met while scoring
     kind, k, settings, edit, message = _MISFIT_STATE[case]
     rng = np.random.default_rng(28)
     X = rng.normal(size=(60, 3))
