@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ModelError, ProbabilisticClassifier, one_hot, softmax
+from .base import ModelError, ProbabilisticClassifier, one_hot, shaped, softmax
 
 ALPHA_CAP_LOG = 0.5 * np.log(1e10)
 
@@ -138,11 +138,14 @@ class AdaBoostClassifier(ProbabilisticClassifier):
         return {"stumps": [list(s) for s in self.stumps_], "alphas": list(self.alphas_)}
 
     def _state_from_dict(self, doc):
-        self.stumps_ = [tuple(s) for s in doc["stumps"]]
-        self.alphas_ = [float(a) for a in doc["alphas"]]
-        if len(self.alphas_) != len(self.stumps_):
-            raise ValueError(f"{len(self.alphas_)} 'alphas' for {len(self.stumps_)} 'stumps'")
+        stumps, alphas = doc["stumps"], doc["alphas"]
+        if len(alphas) != len(stumps):
+            raise ValueError(f"{len(alphas)} 'alphas' for {len(stumps)} 'stumps'")
+        shaped(stumps, (len(stumps), 4), "stumps")   # four numbers each
+        self.stumps_ = [tuple(s) for s in stumps]
+        self.alphas_ = shaped(alphas, (len(alphas),), "alphas").tolist()
         for f, _, lc, rc in self.stumps_:   # a feature, or -1 for no split, and two classes
-            if not (-1 <= f < self.n_features_ and {lc, rc} <= {0, 1}):
+            if not (all(type(v) is int for v in (f, lc, rc))
+                    and -1 <= f < self.n_features_ and {lc, rc} <= {0, 1}):
                 raise ValueError(f"field 'stumps' holds ({f}, {lc}, {rc}), not a stump of "
                                  f"{self.n_features_} features and two classes")

@@ -3,17 +3,15 @@
 Every learner fits on a feature matrix with labels 0..k-1 and scores rows
 into an (n, k) matrix of probabilities whose rows sum to 1. A label outside
 0..k-1, a non-finite feature value or a non-finite score is a ``ModelError``.
-Fits and scores run on one BLAS thread (``one_blas_thread``); a process
-that imports cardiofuse before numpy starts OpenBLAS on one thread too.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
-import threading
 
 import numpy as np
+
+from ..blas import one_blas_thread
 
 
 class ModelError(Exception):
@@ -33,122 +31,6 @@ class DivergenceError(ModelError):
 
 
 SERIAL_VERSION = 1
-
-# thread-count entry points of the OpenBLAS builds numpy ships or links:
-# numpy 2 wheels (64-bit integers), scipy-openblas with 32-bit integers,
-# numpy 1.22-1.26 wheels (64-bit integers), plain OpenBLAS. Each family
-# names its kernel by the get entry point with corename for num_threads
-_OPENBLAS_THREAD_CALLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                          "openblas_{}_num_threads64_", "openblas_{}_num_threads")
-
-
-@functools.cache
-def _openblas_library():
-    """The OpenBLAS mapped into this process, as a ctypes library that
-    exports the thread-count calls, or None where there is none (not Linux,
-    MKL, Accelerate)."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return None
-    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields
-                          if len(f) == 6 and "openblas" in f[5])
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if _thread_calls(lib) is not None:
-            return lib
-    return None
-
-
-@functools.cache
-def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS mapped into this
-    process, or None where there is none."""
-    lib = _openblas_library()
-    return None if lib is None else _thread_calls(lib)
-
-
-def _thread_calls(lib):
-    """(get, set) thread-count functions that the loaded library ``lib``
-    exports under one of the OpenBLAS names, or None."""
-    import ctypes
-    for name in _OPENBLAS_THREAD_CALLS:
-        try:
-            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-def blas_corename():
-    """The name of the kernel the OpenBLAS in this process runs, such as
-    ``"SkylakeX"``, or None where there is no OpenBLAS. A ``DYNAMIC_ARCH``
-    build picks the kernel from the CPU when it loads, and
-    ``OPENBLAS_CORETYPE`` overrides the pick; the last bits of a product
-    can differ from kernel to kernel."""
-    import ctypes
-    lib = _openblas_library()
-    if lib is None:
-        return None
-    for name in _OPENBLAS_THREAD_CALLS:
-        try:
-            get = getattr(lib, name.format("get").replace("num_threads", "corename"))
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_char_p
-        return get().decode()
-    return None
-
-
-class _OneBlasThread:
-    """Context manager that runs its body on one OpenBLAS thread.
-
-    The outermost entry saves the process's BLAS thread count and sets it to
-    1; the outermost exit restores it, also when the body raises. Entries
-    nest and may overlap across Python threads: a depth counter under a
-    lock decides which entry is the outermost. One thread fixes the order of
-    every product's partial sums, so fits and scores give the same bytes
-    whatever the caller's thread count, and no idle OpenBLAS worker
-    busy-waits beside the numpy-only fits that follow a threaded call.
-    Importing cardiofuse before numpy starts OpenBLAS on one thread, so there
-    the scope finds 1 and keeps it; it matters where numpy loaded first with
-    more threads (a notebook, a test run) or the caller raised the count.
-    OpenBLAS is looked up at the first entry, not at import. Without it the
-    scope does nothing.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = None
-
-    def __enter__(self):
-        with self._lock:
-            blas = _find_openblas()
-            if self._depth == 0 and blas is not None:
-                get, put = blas
-                self._saved = get()
-                put(1)
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            blas = _find_openblas()
-            if self._depth == 0 and blas is not None:
-                blas[1](self._saved)
-
-
-# the BLAS thread count belongs to the process, so there is one scope for it
-one_blas_thread = _OneBlasThread()
 
 
 class ProbabilisticClassifier:
@@ -276,10 +158,15 @@ class ProbabilisticClassifier:
 
 def shaped(values, shape: tuple, field: str) -> np.ndarray:
     """``values`` as a float64 array of ``shape``, an empty list as an empty
-    one; a ValueError names ``field`` when its shape is another."""
+    one; a ValueError names ``field`` when its shape is another or an entry
+    is not a number (float64 alone would read "0.5" and true as numbers)."""
     a = np.asarray(values, dtype=np.float64)
     if a.shape != shape and not (a.size == 0 and 0 in shape):
         raise ValueError(f"field '{field}' has shape {a.shape}, not {shape}")
+    rows = values if a.ndim == 2 else [values if a.ndim else [values]]
+    for t in {type(x) for row in rows for x in row}:
+        if t is bool or not issubclass(t, (int, float)):
+            raise ValueError(f"field '{field}' holds a {t.__name__}, not a number")
     return a.reshape(shape)
 
 

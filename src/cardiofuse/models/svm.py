@@ -19,8 +19,8 @@ import warnings
 
 import numpy as np
 
-from .base import (ModelError, NotFittedError, ProbabilisticClassifier, one_blas_thread,
-                   shaped, sigmoid)
+from ..blas import one_blas_thread
+from .base import ModelError, NotFittedError, ProbabilisticClassifier, shaped, sigmoid
 
 # rows per kernel block. OpenBLAS tiles GEMM rows by 8, and by 12 against the
 # last few support vectors, and computes remainder rows with another kernel;
@@ -267,5 +267,5 @@ class SVMClassifier(ProbabilisticClassifier):
             coef = shaped(m["coef"], (len(m["coef"]),), "coef")
             # (0, d) when a machine keeps no support vector, e.g. its class had no rows
             sv_X = shaped(m["sv_X"], (len(coef), self.n_features_), "sv_X")
-            self.machines_.append({"sv_X": sv_X, "coef": coef,
-                                   "b": m["b"], "A": m["A"], "B": m["B"]})
+            self.machines_.append({"sv_X": sv_X, "coef": coef, **{
+                name: float(shaped(m[name], (), name)) for name in ("b", "A", "B")}})

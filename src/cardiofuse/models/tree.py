@@ -91,7 +91,7 @@ class Tree:
             raise ValueError(f"field 'feature' of a split is {mistyped[0]!r}, not an integer")
         value = np.zeros((len(right), k))   # a split's row stays 0
         value[leaves] = shaped(dists, (len(leaves), k), "dist")
-        tree = cls(feature, threshold, right, value)
+        tree = cls(feature, shaped(threshold, (len(right),), "threshold"), right, value)
         if ((tree.feature < 0) | (tree.feature >= n_features))[tree.right >= 0].any():
             raise ValueError(f"field 'feature' of a split is not in 0..{n_features - 1}")
         return tree

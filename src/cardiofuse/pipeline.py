@@ -181,7 +181,8 @@ class RunReport:
     preprocessing: dict
 
 
-def _evaluate(truth, scores, k, averaging) -> EvaluationReport:
+def _evaluate(truth, scores, k) -> EvaluationReport:
+    averaging = "macro" if k == 2 else "weighted"
     pred = fusion_mod.decide(scores)
     cm = metrics_mod.confusion(truth, pred, k)
     scal = metrics_mod.scalar_metrics(cm, averaging)
@@ -191,7 +192,6 @@ def _evaluate(truth, scores, k, averaging) -> EvaluationReport:
 
 def run_experiment(config: RunConfig) -> RunReport:
     task = TaskKind(config.task)
-    averaging = "macro" if task.kind == "binary" else "weighted"
     seed = config.master_seed
 
     path = config.data_path or bundled_data_path()
@@ -232,19 +232,9 @@ def run_experiment(config: RunConfig) -> RunReport:
                                                   task.class_count)
         member_scores[kind], select_scores[kind] = scores[0], scores[-1]
         members[kind] = stage("evaluate", _evaluate, test.labels,
-                              member_scores[kind], task.class_count, averaging)
-
-    fusions = {}
-    for a, b in config.fusion_pairs:
-        sel = fusion_mod.grid_search(select_scores[a], select_scores[b], select.labels)
-        fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
-        report = stage("evaluate", _evaluate, test.labels, fused.scores,
-                       task.class_count, averaging)
-        fusions[f"{a}+{b}"] = {
-            "weights": sel.weights,
-            "sweep": [(w.w1, w.w2, acc) for w, acc in sel.sweep],
-            "report": report,
-        }
+                              member_scores[kind], task.class_count)
+    fusions = fuse_pairs(member_scores, select_scores, select.labels, test.labels,
+                         config.fusion_pairs, task.class_count)
 
     preprocessing = {
         "code_maps": {c: {str(k): v for k, v in m.items()}
@@ -256,6 +246,23 @@ def run_experiment(config: RunConfig) -> RunReport:
     }
     return RunReport(config, members, fusions, member_scores, test.labels.copy(),
                      preprocessing)
+
+
+def fuse_pairs(member_scores, select_scores, select_truth, truth, pairs, class_count):
+    """``RunReport.fusions`` of ``pairs``: each pair's weights are picked on the
+    selection rows' scores and labels, then fuse the test rows' ``member_scores``,
+    evaluated against ``truth``. A test-mode report's stored ``member_scores``
+    and ``truth``, passed as both rows, give its fusions back."""
+    fusions = {}
+    for a, b in pairs:
+        sel = fusion_mod.grid_search(select_scores[a], select_scores[b], select_truth)
+        fused = fusion_mod.fuse(member_scores[a], member_scores[b], sel.weights)
+        fusions[f"{a}+{b}"] = {
+            "weights": sel.weights,
+            "sweep": [(w.w1, w.w2, acc) for w, acc in sel.sweep],
+            "report": stage("evaluate", _evaluate, truth, fused.scores, class_count),
+        }
+    return fusions
 
 
 def _fit_and_score(kind, hp, train, tables, class_count):

@@ -14,18 +14,27 @@ import numpy as np
 import pytest
 
 import cardiofuse
+from cardiofuse import blas
+from cardiofuse.blas import one_blas_thread
 from cardiofuse.models import LogisticRegressionClassifier, SVMClassifier
-from cardiofuse.models import base
-from cardiofuse.models.base import one_blas_thread
+
+
+# the OpenBLAS kernel the report, directory and document digests were recorded on
+PINNED_KERNEL = "SkylakeX"
+
+
+def kernel_note():
+    """The line a digest test adds to its failure: a digest can move with the kernel."""
+    return f"OpenBLAS kernel of this run: {blas.corename()}; pins recorded on {PINNED_KERNEL}"
 
 
 @pytest.fixture
 def blas_threads():
     """The process's BLAS thread count, set to 2 for the test and restored after it."""
-    found = base._find_openblas()
+    found = blas._openblas()
     if found is None:
         pytest.skip("no OpenBLAS is loaded in this process")
-    get, put = found
+    get, put, _ = found
     before = get()
     put(2)
     yield get
@@ -37,20 +46,40 @@ def _toy(rng, n=40):
     return X, (X[:, 0] > 0).astype(np.int64)
 
 
-@pytest.mark.parametrize("name", ["scipy_openblas_{}_num_threads64_",
-                                  "openblas_{}_num_threads64_", "openblas_{}_num_threads"])
-def test_thread_calls_are_found_under_each_openblas_name(name):
-    # numpy 1.22-1.26 wheels export only the 64_ pair without the scipy_ prefix
-    def get():
-        return 1
+# the four OpenBLAS name families, as blas._FAMILIES lists them
+_FAMILIES = ["scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"]
 
-    def put(n):
-        pass
 
-    lib = types.SimpleNamespace(**{name.format("get"): get, name.format("set"): put})
-    assert base._thread_calls(lib) == (get, put)
+def _library(family, corename=True):
+    """A stand-in for a loaded OpenBLAS that exports one family's calls,
+    with or without get_corename."""
+    calls = {"get_num_threads": lambda: 1, "set_num_threads": lambda n: None}
+    if corename:
+        calls["get_corename"] = lambda: b"Haswell"
+    return types.SimpleNamespace(**{family.format(name): f for name, f in calls.items()})
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_thread_calls_are_found_under_each_openblas_name(family):
+    # numpy 1.22-1.26 wheels export only the 64_ family without the scipy_ prefix
+    lib = _library(family, corename=False)
+    get, put = lib.__dict__.values()
+    assert blas._calls(lib) == (get, put, None)
     assert (get.argtypes, get.restype, put.argtypes) == ([], ctypes.c_int, [ctypes.c_int])
-    assert base._thread_calls(types.SimpleNamespace()) is None
+    assert blas._calls(types.SimpleNamespace()) is None
+    # a family's corename alone is no OpenBLAS to scope
+    assert blas._calls(types.SimpleNamespace(**{family.format("get_corename"): get})) is None
+
+
+def test_a_library_without_corename_still_gets_the_thread_scope(monkeypatch):
+    counts = [4]
+    lib = types.SimpleNamespace(openblas_get_num_threads=lambda: counts[-1],
+                                openblas_set_num_threads=lambda n: counts.append(n))
+    monkeypatch.setattr(blas, "_openblas", lambda: blas._calls(lib))
+    assert blas.corename() is None
+    with one_blas_thread:
+        assert counts[-1] == 1
+    assert counts == [4, 1, 4]
 
 
 def test_fit_runs_on_one_thread_and_restores_the_count(monkeypatch, blas_threads):
@@ -178,9 +207,9 @@ import json, os, sys
 if sys.argv[1] == "numpy-first":
     import numpy
 import cardiofuse
-from cardiofuse.models import base
+from cardiofuse import blas
 print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
-                  "count": base._find_openblas()[0](),
+                  "count": blas._openblas()[0](),
                   "env": [os.environ.get(v) for v in %r]}))
 """ % (_THREAD_VARIABLES,)
 
@@ -190,7 +219,7 @@ def _start(first="cardiofuse", **variables):
     interpreter that imports ``first`` first, then cardiofuse."""
     if not sys.platform.startswith("linux"):
         pytest.skip("threads are counted in /proc/self/task")
-    if base._find_openblas() is None:
+    if blas._openblas() is None:
         pytest.skip("no OpenBLAS is loaded in this process")
     out = subprocess.run([sys.executable, "-c", _START_SCRIPT, first], env=_child_env(**variables),
                          check=True, timeout=120, capture_output=True, text=True).stdout
@@ -216,20 +245,15 @@ def test_importing_numpy_first_leaves_the_environment_alone():
     assert seen["count"] == seen["tasks"]   # the main thread and count - 1 OpenBLAS workers
 
 
-@pytest.mark.parametrize("name", ["scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                                  "openblas_get_corename64_", "openblas_get_corename"])
-def test_corename_is_found_under_each_openblas_name(monkeypatch, name):
-    def corename():
-        return b"Haswell"
-
-    lib = types.SimpleNamespace(**{name: corename})
-    monkeypatch.setattr(base, "_openblas_library", lambda: lib)
-    assert base.blas_corename() == "Haswell"
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_corename_is_found_under_each_openblas_name(monkeypatch, family):
+    lib = _library(family)
+    monkeypatch.setattr(blas, "_openblas", lambda: blas._calls(lib))
+    assert blas.corename() == "Haswell"
+    corename = getattr(lib, family.format("get_corename"))
     assert (corename.argtypes, corename.restype) == ([], ctypes.c_char_p)
-    monkeypatch.setattr(base, "_openblas_library", lambda: types.SimpleNamespace())
-    assert base.blas_corename() is None
-    monkeypatch.setattr(base, "_openblas_library", lambda: None)
-    assert base.blas_corename() is None
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    assert blas.corename() is None
 
 
 # kernels of CPUs with AVX, each of which can run the Sandybridge kernel
@@ -237,13 +261,13 @@ _AVX_KERNELS = {"Sandybridge", "Haswell", "Zen", "SkylakeX", "Cooperlake", "Sapp
 
 
 def test_corename_names_the_kernel_openblas_runs():
-    if base._find_openblas() is None:
+    if blas._openblas() is None:
         pytest.skip("no OpenBLAS is loaded in this process")
-    native = base.blas_corename()
+    native = blas.corename()
     assert isinstance(native, str) and native
     if native not in _AVX_KERNELS:
         pytest.skip(f"OpenBLAS runs {native}, which may not run the Sandybridge kernel")
-    script = "from cardiofuse.models import base; print(base.blas_corename())"
+    script = "from cardiofuse import blas; print(blas.corename())"
     out = subprocess.run([sys.executable, "-c", script],
                          env=_child_env(OPENBLAS_CORETYPE="Sandybridge"),
                          check=True, timeout=120, capture_output=True, text=True).stdout

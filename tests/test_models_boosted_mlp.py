@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cardiofuse.blas import one_blas_thread
 from cardiofuse.models import (AdaBoostClassifier, DivergenceError, MLPClassifier,
                                ModelError, ProbabilisticClassifier)
 from cardiofuse.models import adaboost
 from cardiofuse.models.adaboost import _best_stump, split_scan
-from cardiofuse.models.base import one_blas_thread, one_hot
+from cardiofuse.models.base import one_hot
 
 
 def finite_difference_grads(model, X, Y, step=1e-5):

@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from cardiofuse.blas import one_blas_thread
 from cardiofuse.models import (MODEL_KINDS, AdaBoostClassifier, DivergenceError,
                                LogisticRegressionClassifier, MLPClassifier, ModelError,
                                NotFittedError, ProbabilisticClassifier, ShapeError,
                                SVMClassifier, make_model, model_class)
 from cardiofuse.models import svm as svm_mod
-from cardiofuse.models.base import one_blas_thread
 from cardiofuse.models.svm import (_solve_dual, fit_platt, kernel_factor,
                                    linear_kernel, platt_prob, rbf_kernel)
 
@@ -370,6 +370,34 @@ _MISFIT_STATE = {
                    "field 'stumps' holds (3, "),
     "ADA-alphas": ("ADA", 2, {"n_estimators": 5}, lambda d: d["params"]["alphas"].pop(),
                    "4 'alphas' for 5 'stumps'"),
+    # float state as a string or a bool, which float64 would read as numbers
+    "LR-w-strings": ("LR", 2, {},
+                     lambda d: d["params"].update(w=[str(v) for v in d["params"]["w"]]),
+                     "field 'w' holds a str, not a number"),
+    "DT-threshold-string": ("DT", 2, {"splitter": "best"},
+                            lambda d: d["params"]["root"].update(threshold="0.5"),
+                            "field 'threshold' holds a str, not a number"),
+    "RF-threshold-bool": ("RF", 2, {"n_estimators": 3},
+                          lambda d: d["params"]["trees"][1].update(threshold=True),
+                          "field 'threshold' holds a bool, not a number"),
+    "SVM-b-string": ("SVM", 2, {}, lambda d: d["params"]["machines"][0].update(b="0.5"),
+                     "field 'b' holds a str, not a number"),
+    "ANN-b1-bool": ("ANN", 3, {"epochs": 2}, lambda d: d["params"]["b1"].__setitem__(2, True),
+                    "field 'b1' holds a bool, not a number"),
+    "ADA-alphas-string": ("ADA", 2, {"n_estimators": 5},
+                          lambda d: d["params"]["alphas"].__setitem__(1, "0.1"),
+                          "field 'alphas' holds a str, not a number"),
+    "ADA-stump-threshold-string": ("ADA", 2, {"n_estimators": 5},
+                                   lambda d: d["params"]["stumps"][0].__setitem__(1, "0.5"),
+                                   "field 'stumps' holds a str, not a number"),
+    # an ADA stump's feature and classes are integers: 0.7 loaded as feature 0,
+    # and a class of 0.0 loaded, then failed in scoring with numpy's IndexError
+    "ADA-stump-fraction": ("ADA", 2, {"n_estimators": 5},
+                           lambda d: d["params"]["stumps"][0].__setitem__(0, 0.7),
+                           "field 'stumps' holds (0.7, "),
+    "ADA-stump-class-float": ("ADA", 2, {"n_estimators": 5},
+                              lambda d: d["params"]["stumps"][0].__setitem__(2, 0.0),
+                              "field 'stumps' holds ("),
 }
 
 
@@ -377,8 +405,9 @@ _MISFIT_STATE = {
 def test_a_document_whose_state_does_not_fit_its_shape_is_refused(case):
     # fitted state must fit n_features, class_count and the settings: a split
     # on a feature the rows lack or on a fraction of one, a leaf or weight of
-    # another length, a machine too few, a single class the model lacks; each
-    # is refused on load with the kind, not met while scoring
+    # another length, a machine too few, a single class the model lacks, a
+    # weight that is not a number; each is refused on load with the kind, not
+    # met while scoring
     kind, k, settings, edit, message = _MISFIT_STATE[case]
     rng = np.random.default_rng(28)
     X = rng.normal(size=(60, 3))

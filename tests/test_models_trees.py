@@ -11,6 +11,8 @@ from cardiofuse.models import tree as tree_mod
 from cardiofuse.models.adaboost import split_scan
 from cardiofuse.models.tree import Tree, _impurity_rows, _split_segments, grow_forest, score_forest
 
+from test_blas_threads import kernel_note
+
 
 def blob_data(rng, n=120, d=5, k=2):
     X = rng.normal(size=(n, d))
@@ -763,8 +765,9 @@ def test_pipeline_tree_documents_are_byte_identical(monkeypatch, task, test_frac
     got = {key: hashlib.sha256(json.dumps(docs[key[2]]).encode()).hexdigest() for key in want}
     moved = [key for key in want if got[key] != want[key]]
     # the moved entries print as lines of _DOC_DIGESTS, to copy over them when the move is meant
-    assert not moved, f"moved: {', '.join(key[2] for key in moved)}\n" + "\n".join(
-        f'    ("{t}", {frac}, "{kind}"): "{got[t, frac, kind]}",' for t, frac, kind in moved)
+    assert not moved, f"moved: {', '.join(key[2] for key in moved)}\n" + "\n".join([
+        *(f'    ("{t}", {frac}, "{kind}"): "{got[t, frac, kind]}",' for t, frac, kind in moved),
+        kernel_note()])
 
 
 @pytest.mark.parametrize("task", ["binary", "multiclass"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,6 +18,8 @@ from cardiofuse.preprocess import (SplitSpec, TaskKind, apply_scaler,
                                    derive_task, encode_labels, fit_scaler,
                                    impute_most_frequent, random_oversample,
                                    split)
+
+from test_blas_threads import kernel_note
 
 FAST_HP = {"RF": {"n_estimators": 10}, "ADA": {"n_estimators": 20},
            "ANN": {"epochs": 5}}
@@ -580,6 +583,25 @@ def test_adaboost_reaches_binary_accuracy_floor():
     assert best >= 0.82
 
 
+@pytest.mark.parametrize("task", ["binary", "multiclass"])
+def test_fusions_come_back_from_the_scores_a_report_stores(tmp_path, task):
+    # in test mode the weights are picked on the test rows, whose scores and
+    # labels report.json stores as member_scores (10 decimals) and truth
+    for fraction in (0.2, 0.3):
+        for seed in range(2):
+            report = run_experiment(RunConfig(task=task, test_fraction=fraction,
+                                              master_seed=seed))
+            out = tmp_path / f"{fraction}-seed{seed}"
+            emit_report(report, out)
+            doc = json.loads((out / "report.json").read_text())
+            scores = {k: np.array(v) for k, v in doc["member_scores"].items()}
+            truth = np.array(doc["truth"])
+            fusions = pipeline.fuse_pairs(scores, scores, truth, truth,
+                                          report.config.fusion_pairs, TaskKind(task).class_count)
+            again = pipeline.report_to_dict(dataclasses.replace(report, fusions=fusions))
+            assert json.loads(json.dumps(again["fusions"])) == doc["fusions"]
+
+
 def test_run_twice_identical_report_bytes(tmp_path):
     digests = []
     for sub in ("a", "b"):
@@ -756,4 +778,4 @@ def test_desk_reports_match_pinned_digests(tmp_path, mode, task):
             if got != table[key]:
                 moved.append(f"{name} {key} moved:\n{_pinned_entry(key, got)}")
     # each moved entry prints in its table's format, to copy over it when the move is meant
-    assert not moved, "\n".join(moved)
+    assert not moved, "\n".join([*moved, kernel_note()])
